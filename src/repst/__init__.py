@@ -29,6 +29,8 @@ from .exact import (
     to_binomial_basis,
 )
 from .partitions import (
+    BadLimitError,
+    InvariantError,
     LimitExceededError,
     PadTooSmallError,
     Partition,

@@ -103,9 +103,13 @@ def bound_sweep(n: int) -> BoundSweepReport:
     argmin: Partition = ()
     passed = True
     count = 0
+    bound_at: dict[int, Fraction] = {}  # the bound depends on mu only through d
     for mu in partitions_of(n):
         count += 1
-        slack = hook_dim(mu) - dimension_lower_bound(n, mu)
+        d = max(mu[0], len(mu))
+        if d not in bound_at:
+            bound_at[d] = dimension_lower_bound(n, mu)
+        slack = hook_dim(mu) - bound_at[d]
         if slack < 0:
             passed = False
         if min_slack is None or slack < min_slack:

@@ -3,7 +3,9 @@
 Every operation of the library is reachable as a subcommand, with
 human-readable output by default and a stable JSON schema under --json.
 Exit codes: 0 success, 1 a verification suite found a failed identity,
-2 malformed usage.
+2 malformed usage, 3 an exact computation broke down (a division with a
+remainder, a series coefficient beyond its truncation bounds, or a failed
+combinatorial invariant).
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import sys
 from fractions import Fraction
 
 from . import bounds, deligne, groupalg, schurweyl, verify
-from .exact import poly_to_json, to_binomial_basis
-from .partitions import format_partition, parse_partition
+from .exact import NonDivisibleError, OutOfBoundsError, poly_to_json, to_binomial_basis
+from .partitions import InvariantError, format_partition, parse_partition
 from .snoracle import parse_cycle_type
 
 USAGE_ERROR = 2
+COMPUTATION_ERROR = 3
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -263,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
+    except (NonDivisibleError, OutOfBoundsError, InvariantError) as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return COMPUTATION_ERROR
 
 
 if __name__ == "__main__":

@@ -31,28 +31,22 @@ from .snoracle import CycleType, check_cycle_type, support
 Decomposition = dict[Partition, int]
 
 
-class InternalMismatchError(AssertionError):
-    """Two supposedly-equal internal routes disagreed: a combinatorics bug."""
-
-
 @lru_cache(maxsize=None)
 def dimension_poly(lam: Partition) -> ExactPolynomial:
     """Dimension of the indecomposable object labeled by lam, as a degree-|lam|
-    polynomial in the rank t.
+    polynomial in the rank t: prod(t - b) over the b-set of lam, divided by
+    the hook product of lam.
 
-    Computed two ways -- prod(t - b) over the b-set divided by the hook
-    product, and the same numerator scaled by dim/|lam|! -- which must agree.
+    The numerator is expanded in integer coefficients and divided once.
     """
-    n = sum(lam)
-    numerator = ONE
-    for b in sorted(partitions.b_set(lam)):
-        numerator = numerator * ExactPolynomial((-b, 1))
-    via_hooks = numerator.scale(Fraction(1, partitions.hook_product(lam)))
-    from .snoracle import hook_dim  # oracle direction only: snoracle never imports us
-    via_dim = numerator.scale(Fraction(hook_dim(lam), factorial(n)))
-    if via_hooks != via_dim:
-        raise InternalMismatchError(f"dimension routes disagree for {lam}")
-    return via_hooks
+    numerator = [1]
+    for b in partitions.b_set(lam):
+        # multiply by (t - b) in place: c_k <- c_{k-1} - b * c_k
+        numerator.insert(0, 0)
+        for k in range(len(numerator) - 1):
+            numerator[k] -= b * numerator[k + 1]
+    hooks = partitions.hook_product(lam)
+    return ExactPolynomial(Fraction(c, hooks) for c in numerator)
 
 
 def pieri(lam: Partition) -> Decomposition:

@@ -24,18 +24,31 @@ class LimitExceededError(ValueError):
     """Partition enumeration was requested beyond the configured cap."""
 
 
+class BadLimitError(ValueError):
+    """REPST_LIMITS is set to something other than an integer >= the default cap."""
+
+
+class InvariantError(ArithmeticError):
+    """An exact combinatorial identity failed: a bug, never bad input."""
+
+
 def enumeration_limit() -> int:
     """Largest n for which partitions_of(n) will run.
 
-    Raised by setting the REPST_LIMITS environment variable to an integer.
+    Raised by setting the REPST_LIMITS environment variable to an integer
+    of at least the default cap; any other value raises BadLimitError.
     """
     raw = os.environ.get("REPST_LIMITS")
-    if raw:
-        try:
-            return max(int(raw), _DEFAULT_ENUMERATION_LIMIT)
-        except ValueError:
-            pass
-    return _DEFAULT_ENUMERATION_LIMIT
+    if not raw:
+        return _DEFAULT_ENUMERATION_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise BadLimitError(f"REPST_LIMITS={raw!r} is not an integer") from None
+    if limit < _DEFAULT_ENUMERATION_LIMIT:
+        raise BadLimitError(
+            f"REPST_LIMITS={limit} is below the default cap {_DEFAULT_ENUMERATION_LIMIT}")
+    return limit
 
 
 def check_partition(parts) -> Partition:
@@ -61,9 +74,12 @@ def format_partition(lam: Partition) -> str:
 
 
 def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    """Column lengths, from one walk up the rows: the columns that row i
+    (0-based) has beyond the rows below it all have length i + 1."""
+    conj: list[int] = []
+    for i in range(len(lam) - 1, -1, -1):
+        conj.extend([i + 1] * (lam[i] - len(conj)))
+    return tuple(conj)
 
 
 def cells(lam: Partition) -> Iterator[Cell]:
@@ -82,9 +98,14 @@ def hook_lengths(lam: Partition) -> dict[Cell, int]:
 
 
 def hook_product(lam: Partition) -> int:
+    """Product of all hook lengths; the hook of 0-based cell (i, j) is
+    lam_i - j + lam'_j - i - 1."""
+    conj = conjugate(lam)
     prod = 1
-    for h in hook_lengths(lam).values():
-        prod *= h
+    for i, row in enumerate(lam):
+        arm_leg = row - i - 1
+        for j in range(row):
+            prod *= arm_leg - j + conj[j]
     return prod
 
 
@@ -200,7 +221,8 @@ def b_set(lam: Partition) -> frozenset[int]:
         if 0 <= value < span:
             excluded.add(value)
     members = [x for x in range(span) if x not in excluded][:n]
-    assert len(members) == n, f"b_set size mismatch for {lam}"
+    if len(members) != n:
+        raise InvariantError(f"b_set of {lam} has {len(members)} members, not {n}")
     return frozenset(members)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .partitions import Partition, conjugate, format_partition, hook_product
+from .partitions import InvariantError, Partition, conjugate, format_partition, hook_product
 
 CycleType = tuple[int, ...]
 
@@ -71,7 +71,8 @@ def hook_dim(mu: Partition) -> int:
     """Dimension of the irreducible S_{|mu|}-representation: |mu|! / hooks."""
     n = sum(mu)
     quotient, remainder = divmod(factorial(n), hook_product(mu))
-    assert remainder == 0, f"hook product does not divide {n}! for {mu}"
+    if remainder:
+        raise InvariantError(f"hook product of {format_partition(mu)} does not divide {n}!")
     return quotient
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,18 @@ def test_dimension_lower_bound_known_values():
 @given(mu=partition_strategy(max_n=14, min_n=1))
 def test_bound_never_exceeds_dimension(mu):
     assert sn.hook_dim(mu) >= bd.dimension_lower_bound(sum(mu), mu)
+
+
+def test_bound_sweep_matches_per_partition_reference_through_22():
+    for n in range(1, 23):
+        slacks = []
+        for mu in pt.partitions_of(n):
+            d = max(mu[0], len(mu))
+            slacks.append((sn.hook_dim(mu) - comb(n, d) * Fraction(d, n) ** d, mu))
+        min_slack, argmin = min(slacks, key=lambda pair: pair[0])
+        report = bd.bound_sweep(n)
+        assert (report.partition_count, report.passed, report.min_slack, report.argmin) == (
+            len(slacks), all(s >= 0 for s, _ in slacks), min_slack, argmin)
 
 
 @given(mu=partition_strategy(max_n=12))

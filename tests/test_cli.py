@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from repst import cli, deligne
-from repst.exact import poly_from_json
+from repst.exact import NonDivisibleError, OutOfBoundsError, poly_from_json
 from repst.partitions import parse_partition
 
 
@@ -110,6 +110,27 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
     code, _, err = run_cli(capsys, "dim", "--lambda", "1,2")
     assert code == 2
+
+
+def test_malformed_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("REPST_LIMITS", "abc")
+    code, _, err = run_cli(capsys, "bounds", "--max-n", "5")
+    assert code == 2
+    assert err.startswith("error: REPST_LIMITS")
+
+
+@pytest.mark.parametrize("error", [
+    NonDivisibleError("t is not divisible by t - 1"),
+    OutOfBoundsError("exponent (3,) outside truncation bounds (2,)"),
+])
+def test_computation_errors_exit_3(capsys, monkeypatch, error):
+    def broken(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_dim", broken)
+    code, out, err = run_cli(capsys, "dim", "--lambda", "1")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {type(error).__name__}: {error}\n"
 
 
 def test_unknown_flag_exits_2():

@@ -42,6 +42,20 @@ def test_dimension_matches_hook_dim_of_padded(lam):
         assert p(n) == sn.hook_dim(pt.pad(lam, n))
 
 
+def test_dimension_poly_matches_rational_product_and_oracle_through_size_10():
+    for lam in pt.partitions_up_to(10):
+        expected = ExactPolynomial((1,))
+        for b in sorted(pt.b_set(lam)):
+            expected = expected * ExactPolynomial((-b, 1))
+        expected = expected.scale(Fraction(1, pt.hook_product(lam)))
+        p = dl.dimension_poly(lam)
+        assert p == expected
+        # deg + 1 consecutive valid ranks: agreement proves the identity
+        start = validity_start(lam)
+        for n in range(start, start + sum(lam) + 1):
+            assert p(n) == sn.hook_dim(pt.pad(lam, n))
+
+
 def test_pieri_known_values():
     assert dl.pieri(()) == {(1,): 1}
     assert dl.pieri((1,)) == {(2,): 1, (1, 1): 1, (): 1, (1,): 1}

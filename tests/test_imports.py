@@ -1,0 +1,34 @@
+"""The oracle stays independent: checked on the import statements in the
+source, so an import inside a function counts as well."""
+
+import ast
+from pathlib import Path
+
+import repst
+
+
+def _imported_names(module: str) -> set[str]:
+    """Every dotted component and imported name of every import in the module."""
+    tree = ast.parse((Path(repst.__file__).parent / f"{module}.py").read_text())
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_snoracle_imports_no_interpolation_module():
+    assert not _imported_names("snoracle") & {"deligne", "schurweyl", "groupalg"}
+
+
+def test_deligne_does_not_import_hook_dim():
+    assert "hook_dim" not in _imported_names("deligne")
+
+
+def test_import_walker_sees_known_imports():
+    assert {"partitions", "hook_product"} <= _imported_names("snoracle")
+    assert {"snoracle", "support", "partitions"} <= _imported_names("deligne")

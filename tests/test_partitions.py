@@ -16,6 +16,28 @@ def test_conjugate_involution(lam):
     assert pt.conjugate(pt.conjugate(lam)) == lam
 
 
+def test_conjugate_matches_definition_through_size_15():
+    for lam in pt.partitions_up_to(15):
+        columns = tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+        assert pt.conjugate(lam) == columns
+        assert pt.conjugate(columns) == lam
+
+
+def test_hook_product_matches_cell_hooks_through_size_12():
+    for lam in pt.partitions_up_to(12):
+        expected = 1
+        for i, row in enumerate(lam):
+            for j in range(row):
+                arm = row - j - 1
+                leg = sum(1 for below in lam[i + 1:] if below > j)
+                expected *= arm + leg + 1
+        assert pt.hook_product(lam) == expected
+        hooks = 1
+        for h in pt.hook_lengths(lam).values():
+            hooks *= h
+        assert hooks == expected
+
+
 @given(lam=partition_strategy(max_n=12))
 def test_hook_sum_invariant_under_conjugation(lam):
     total = sum(pt.hook_lengths(lam).values())
@@ -129,6 +151,13 @@ def test_b_set_closed_form(lam):
     assert pt.b_set(lam) == direct
 
 
+def test_b_set_size_failure_is_a_typed_error(monkeypatch):
+    # every column as tall as |lam| excludes every candidate value
+    monkeypatch.setattr(pt, "conjugate", lambda lam: (sum(lam),) * (2 * sum(lam) + 2))
+    with pytest.raises(pt.InvariantError, match="b_set"):
+        pt.b_set((2, 1))
+
+
 def test_partition_enumeration_counts():
     assert pt.partitions_of(0) == ((),)
     assert len(pt.partitions_of(4)) == 5
@@ -143,6 +172,15 @@ def test_partition_enumeration_limit(monkeypatch):
         pt.partitions_of(pt.enumeration_limit() + 1)
     monkeypatch.setenv("REPST_LIMITS", "45")
     assert pt.enumeration_limit() == 45
+
+
+@pytest.mark.parametrize("raw", ["abc", "39"])
+def test_malformed_enumeration_limit_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("REPST_LIMITS", raw)
+    with pytest.raises(pt.BadLimitError, match="REPST_LIMITS"):
+        pt.enumeration_limit()
+    with pytest.raises(pt.BadLimitError):
+        pt.partitions_of(3)
 
 
 def test_parse_and_format_partition():

@@ -27,6 +27,12 @@ def test_hook_dim_conjugation_invariant(mu):
     assert sn.hook_dim(mu) == sn.hook_dim(pt.conjugate(mu))
 
 
+def test_hook_dim_non_dividing_hook_product_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(sn, "hook_product", lambda mu: 7)
+    with pytest.raises(pt.InvariantError, match="does not divide 3!"):
+        sn.hook_dim((2, 1))
+
+
 def test_cycle_type_parsing_and_support():
     assert sn.parse_cycle_type("") == ()
     assert sn.parse_cycle_type("1,0,2") == (1, 0, 2)
