@@ -1,14 +1,17 @@
 """Exact rational arithmetic: polynomials in one variable t and truncated
 multivariate power series whose coefficients are such polynomials.
 
-Everything is built on `fractions.Fraction`; no floating point appears
-anywhere.  All identities verified elsewhere in the package are therefore
-exact statements about rational numbers, and a mismatch is a bug, never
-roundoff.
+Every coefficient is an exact rational (`int` or `fractions.Fraction`); no
+floating point appears anywhere.  All identities verified elsewhere in the
+package are therefore exact statements about rational numbers, and a
+mismatch is a bug, never roundoff.
 
 Representations:
 
-  ExactPolynomial          dense tuple of Fractions, index = power of t
+  ExactPolynomial          dense tuple of int numerators over one positive
+                           int denominator, index = power of t; kept in
+                           lowest terms, so products and sums are integer
+                           convolutions with one gcd per result
   BinomialBasisPolynomial  dense tuple of Fractions, index j = coefficient
                            of binom(t, j); integer coefficients certify an
                            integer-valued polynomial
@@ -18,9 +21,9 @@ Representations:
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -48,19 +51,20 @@ class NotIntegerValuedError(ValueError):
 
 
 class ExactPolynomial:
-    """Univariate polynomial in t with Fraction coefficients.
+    """Univariate polynomial in t with rational coefficients.
 
-    Immutable; trailing zero coefficients are stripped so the leading
-    coefficient is nonzero unless the polynomial is zero.
+    Stored as integer numerators `nums` (index = power of t) over one
+    positive denominator `den`, in canonical form: gcd(den, *nums) == 1,
+    no trailing zero numerators, and the zero polynomial is ((), 1).  Equal
+    polynomials therefore have equal (nums, den).  Immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        pairs = [_ratio(c) for c in coeffs]
+        den = lcm(*[q for _, q in pairs])
+        return _make([p * (den // q) for p, q in pairs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
@@ -70,46 +74,67 @@ class ExactPolynomial:
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial given degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def __call__(self, value: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        p, q = _ratio(value)
+        nums = self.nums
+        if not nums:
+            return Fraction(0)
+        # Horner on p/q with q^k cleared: acc = sum_k nums[k] p^k q^(deg-k)
+        acc, qk = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, self.den * qk)
 
     def _coerce(self, other) -> "ExactPolynomial":
         if isinstance(other, ExactPolynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return ExactPolynomial((other,))
+            return _make([other.numerator], other.denominator)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [x * sa for x in a]
+            b = [y * sb for y in b]
+            da *= sa
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ExactPolynomial(out)
+        out = list(map(add, a, b))
+        out.extend(a[len(b):])
+        return _make(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactPolynomial(tuple(-c for c in self.coeffs))
+        return _make([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -124,14 +149,17 @@ class ExactPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ExactPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ExactPolynomial(out)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
+                    out[j] += x * y
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -150,46 +178,77 @@ class ExactPolynomial:
     def exact_div(self, other: "ExactPolynomial") -> "ExactPolynomial":
         """Divide exactly, raising NonDivisibleError on a nonzero remainder."""
         other = self._coerce(other)
-        if other.is_zero:
+        b, db = other.nums, other.den
+        if not b:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        qlen = len(rem) - len(den) + 1
-        if qlen <= 0:
-            if rem:
-                raise NonDivisibleError(f"{self} is not divisible by {other}")
-            return ExactPolynomial()
-        quot = [Fraction(0)] * qlen
-        lead = den[-1]
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + len(den) - 1] / lead
-            quot[i] = c
+        if b[-1] < 0:
+            b, db = [-y for y in b], -db
+        rem, lead = list(self.nums), b[-1]
+        quot = [0] * max(len(rem) - len(b) + 1, 0)
+        # pseudo-division: s * self.nums == quot * b + rem, with s a power of lead
+        s = 1
+        for i in reversed(range(len(quot))):
+            c = rem[i + len(b) - 1]
+            if c % lead:
+                rem = [x * lead for x in rem]
+                quot = [x * lead for x in quot]
+                s *= lead
+                c *= lead
+            quot[i] = c = c // lead
             if c:
-                for j, d in enumerate(den):
-                    rem[i + j] -= c * d
+                for j, y in enumerate(b, i):
+                    rem[j] -= c * y
         if any(rem):
             raise NonDivisibleError(f"{self} is not divisible by {other}")
-        return ExactPolynomial(quot)
+        return _make([q * db for q in quot], s * self.den)
 
     def scale(self, c: Scalar) -> "ExactPolynomial":
-        c = Fraction(c)
-        return ExactPolynomial(tuple(a * c for a in self.coeffs))
+        p, q = _ratio(c)
+        return _make([a * p for a in self.nums], self.den * q)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactPolynomial((other,))
-        if not isinstance(other, ExactPolynomial):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"ExactPolynomial({list(self.coeffs)!r})"
 
     def __str__(self):
         return format_terms(self.coeffs, lambda k: "" if k == 0 else ("t" if k == 1 else f"t^{k}"))
+
+
+_set_nums = ExactPolynomial.nums.__set__
+_set_den = ExactPolynomial.den.__set__
+
+
+def _make(nums: list[int], den: int) -> ExactPolynomial:
+    """The polynomial sum_k nums[k]/den * t^k for a positive den, in canonical
+    form; nums must be a fresh list, which this may modify."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    p = object.__new__(ExactPolynomial)
+    _set_nums(p, tuple(nums))
+    _set_den(p, den)
+    return p
+
+
+def _ratio(c: Scalar) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction; anything else is a TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction, not {type(c).__name__}")
+    return c.numerator, c.denominator
 
 
 T = ExactPolynomial((0, 1))
@@ -363,14 +422,6 @@ def poly_from_json(data: Mapping):
     if basis == "binomial":
         return BinomialBasisPolynomial(coeffs)
     raise ValueError(f"unknown basis {basis!r}")
-
-
-def poly_dumps(p) -> str:
-    return json.dumps(poly_to_json(p))
-
-
-def poly_loads(text: str):
-    return poly_from_json(json.loads(text))
 
 
 # --- Truncated multivariate power series ------------------------------------

@@ -100,6 +100,8 @@ def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
 
 def coefficient_table(m_max: int) -> dict[int, ExactPolynomial]:
     """Coefficients 0..m_max keyed by degree; entry 0 is the constant 1."""
+    if m_max < 0:
+        raise ValueError(f"m_max must be nonnegative, got {m_max}")
     return {m: hilbert_coefficient(m) for m in range(m_max + 1)}
 
 

@@ -17,7 +17,8 @@ from typing import Sequence
 
 from . import deligne
 from .exact import BadConstantTermError, ExactPolynomial, ONE, T, TruncatedSeries
-from .partitions import Partition, cells, format_partition, hook_lengths, partitions_of
+from .partitions import (InvariantError, Partition, cells, format_partition, hook_lengths,
+                         partitions_of)
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,8 @@ def schur_dimension(lam: Partition, d: int) -> int:
     for h in hook_lengths(lam).values():
         hooks *= h
     quotient, remainder = divmod(num, hooks)
-    assert remainder == 0
+    if remainder:
+        raise InvariantError(f"hook product {hooks} does not divide content product {num}")
     return quotient
 
 
@@ -122,10 +124,7 @@ def degree_one_dimension(v: int) -> ExactPolynomial:
     v-dimensional unital space: v + (v-1)(t-1), equivalently 1 + t(v-1)."""
     if v < 1:
         raise ValueError("space dimension must be positive")
-    via_quotient = (T - 1).scale(v - 1) + v
-    via_series = T.scale(v - 1) + 1
-    assert via_quotient == via_series
-    return via_quotient
+    return (T - 1).scale(v - 1) + v
 
 
 @dataclass(frozen=True)

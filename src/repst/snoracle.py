@@ -127,7 +127,8 @@ def class_size(n: int, rho: CycleType) -> int:
     for i, c in enumerate(rho):
         den *= factorial(c) * (i + 2) ** c
     quotient, remainder = divmod(num, den)
-    assert remainder == 0
+    if remainder:
+        raise InvariantError(f"centralizer order {den} does not divide {num}")
     return quotient
 
 

@@ -112,6 +112,13 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_stirling_negative_max_m_exits_2(capsys):
+    code, out, err = run_cli(capsys, "stirling", "--max-m", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: m_max must be nonnegative, got -1\n"
+
+
 def test_malformed_limit_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("REPST_LIMITS", "abc")
     code, _, err = run_cli(capsys, "bounds", "--max-n", "5")

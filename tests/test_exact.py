@@ -1,8 +1,12 @@
+import hashlib
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repst import deligne, groupalg, partitions, snoracle
 from repst.exact import (
     BadConstantTermError,
     BinomialBasisPolynomial,
@@ -22,7 +26,8 @@ from repst.exact import (
 )
 
 fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
-polynomials = st.lists(fractions, max_size=13).map(ExactPolynomial)
+coefficient_lists = st.lists(fractions, max_size=13)
+polynomials = coefficient_lists.map(ExactPolynomial)
 
 
 def test_polynomial_basic_arithmetic():
@@ -114,6 +119,150 @@ def test_polynomial_str():
     assert str(T * (T - 3)) == "t^2 - 3*t"
     assert str(ExactPolynomial()) == "0"
     assert str(to_binomial_basis((T * (T - 3)).scale(Fraction(1, 2)))) == "binom(t,2) - binom(t,1)"
+
+
+# --- integer kernels against a plain-Fraction reference --------------------
+
+
+def ref(cs):
+    """Coefficient tuple of a polynomial as plain Fractions, trailing zeros stripped."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    return ref(Fraction(x) + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_eval(a, x):
+    return sum((Fraction(c) * Fraction(x) ** k for k, c in enumerate(a)), Fraction(0))
+
+
+def assert_canonical(p):
+    assert all(type(n) is int for n in p.nums) and type(p.den) is int
+    assert p.den > 0
+    assert not p.nums or p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+    assert p.nums or p.den == 1
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+@given(a=coefficient_lists, b=coefficient_lists, c=fractions, x=fractions,
+       n=st.integers(0, 4))
+def test_kernels_match_fraction_reference(a, b, c, x, n):
+    pa, pb = ExactPolynomial(a), ExactPolynomial(b)
+    ra, rb = ref(a), ref(b)
+    power = (Fraction(1),)
+    for _ in range(n):
+        power = ref_mul(power, ra)
+    cases = [
+        (pa, ra),
+        (pa * pb, ref_mul(ra, rb)),
+        (pa + pb, ref_add(ra, rb)),
+        (pa - pb, ref_add(ra, [-y for y in rb])),
+        (-pa, ref([-y for y in ra])),
+        (pa.scale(c), ref([y * c for y in ra])),
+        (pa * c, ref([y * c for y in ra])),
+        (c + pa, ref_add(ra, (c,))),
+        (c - pa, ref_add((c,), [-y for y in ra])),
+        (pa ** n, power),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.coeffs == want
+        assert got.degree == len(want) - 1
+    assert pa(x) == ref_eval(ra, x)
+    assert type(pa(x)) is Fraction and type(pa(3)) is Fraction
+    assert pa(3) == ref_eval(ra, 3)
+
+
+@given(a=polynomials, b=polynomials)
+def test_exact_div_roundtrips_in_canonical_form(a, b):
+    if b.is_zero:
+        return
+    product = a * b
+    quotient = product.exact_div(b)
+    assert_canonical(quotient)
+    assert quotient == a and hash(quotient) == hash(a)
+    if not a.is_zero:
+        assert product.exact_div(a) == b
+    if b.degree >= 1:
+        with pytest.raises(NonDivisibleError):
+            (product + Fraction(1, 7)).exact_div(b)
+
+
+@given(a=polynomials, b=polynomials, c=fractions)
+def test_equal_polynomials_hash_equal(a, b, c):
+    assert hash(T.scale(Fraction(1, 2)) * 2) == hash(T)
+    assert T.scale(Fraction(1, 2)) * 2 == T
+    for same in ((a + b) - b, -(-a), a * 1, a.scale(Fraction(1, 3)).scale(3),
+                 ExactPolynomial(a.coeffs), ExactPolynomial(tuple(a.coeffs) + (0, 0))):
+        assert same == a and hash(same) == hash(a)
+        assert (same.nums, same.den) == (a.nums, a.den)
+    if c:
+        same = a.scale(c).scale(1 / c)
+        assert same == a and hash(same) == hash(a)
+
+
+def test_mixed_scalar_arithmetic_and_zero():
+    assert ExactPolynomial() == 0 and ExactPolynomial((0, 0)).nums == ()
+    assert (ExactPolynomial() * T).den == 1
+    assert (T - T).nums == () and (T - T).den == 1
+    assert T + Fraction(1, 2) == ExactPolynomial((Fraction(1, 2), 1))
+    assert 2 * T == T.scale(2) == T + T
+    assert sum([T, T, ONE]) == T.scale(2) + 1
+    assert ExactPolynomial((Fraction(1, 2), Fraction(1, 3))).nums == (3, 2)
+    assert ExactPolynomial((Fraction(1, 2), Fraction(1, 3))).den == 6
+    assert ExactPolynomial((4,)).coefficient(0) == 4 and T.coefficient(5) == 0
+    assert ExactPolynomial()(Fraction(1, 3)) == 0
+
+
+def test_polynomials_are_immutable():
+    p = T.scale(Fraction(1, 2))
+    for name, value in (("nums", (1,)), ("den", 3), ("coeffs", ()), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    assert p.nums == (0, 1) and p.den == 2
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None, 1j])
+def test_polynomials_reject_non_rational_scalars(bad):
+    with pytest.raises(TypeError):
+        ExactPolynomial((1, bad))
+    with pytest.raises(TypeError):
+        T.scale(bad)
+    with pytest.raises(TypeError):
+        T(bad)
+
+
+def test_kernel_outputs_are_those_of_the_fraction_tuple_representation():
+    """Every coefficient tuple listed below is identical, Fraction for
+    Fraction, to the output of the earlier representation (a tuple of
+    Fractions with per-term products and sums), whose digest this pins:
+    dimension_poly for |lam| <= 10, frobenius_coefficient for |lam| <= 5
+    against every class moving at most 6 points, hilbert_coefficient(m)
+    for m <= 12."""
+    lines = []
+    for lam in partitions.partitions_up_to(10):
+        lines.append(f"dim {lam} {deligne.dimension_poly(lam).coeffs!r}")
+    for lam in partitions.partitions_up_to(5):
+        for rho in snoracle.cycle_types_with_support_up_to(6):
+            lines.append(f"frob {lam} {rho} {deligne.frobenius_coefficient(lam, rho).coeffs!r}")
+    for m in range(13):
+        lines.append(f"hilbert {m} {groupalg.hilbert_coefficient(m).coeffs!r}")
+    assert len(lines) == 361
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "2fb848ee5f4927f3b25777b3fc10dd9418b34847d9d2fb4f0472012551dabb26"
 
 
 # --- truncated series --------------------------------------------------------

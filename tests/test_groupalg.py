@@ -41,6 +41,12 @@ def test_hilbert_coefficient_known_values():
     assert ga.hilbert_coefficient(2)(5) == 35
 
 
+def test_coefficient_table_rejects_negative_m():
+    assert list(ga.coefficient_table(0)) == [0]
+    with pytest.raises(ValueError, match="m_max must be nonnegative"):
+        ga.coefficient_table(-1)
+
+
 @given(m=st.integers(0, 6), n=st.integers(0, 13))
 def test_hilbert_coefficient_interpolates_beyond_nodes(m, n):
     assert ga.hilbert_coefficient(m)(n) == e_m_of_initial_integers(m, n)

@@ -54,6 +54,12 @@ def test_schur_dimension_known_values():
     assert sw.schur_dimension((2, 1), 3) == 8
 
 
+def test_schur_dimension_non_dividing_hook_product_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(sw, "hook_lengths", lambda lam: {(0, 0): 7})
+    with pytest.raises(pt.InvariantError, match="hook product 7 does not divide"):
+        sw.schur_dimension((1,), 2)
+
+
 @given(d=st.integers(1, 4), k=st.integers(0, 6))
 def test_schur_dimensions_refine_tensor_powers(d, k):
     # d^k = sum over |lam| = k of (Schur dim at d) * (number of standard tableaux)

@@ -33,6 +33,12 @@ def test_hook_dim_non_dividing_hook_product_is_a_typed_error(monkeypatch):
         sn.hook_dim((2, 1))
 
 
+def test_class_size_non_dividing_centralizer_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(sn, "factorial", lambda c: 7)
+    with pytest.raises(pt.InvariantError, match="centralizer order 14 does not divide 20"):
+        sn.class_size(5, (1,))
+
+
 def test_cycle_type_parsing_and_support():
     assert sn.parse_cycle_type("") == ()
     assert sn.parse_cycle_type("1,0,2") == (1, 0, 2)
