@@ -14,8 +14,8 @@ import sys
 
 from repst import deligne
 from repst.exact import poly_to_json
-from repst.partitions import format_partition, partitions_up_to
-from repst.snoracle import cycle_types_with_support_up_to, format_cycle_type
+from repst.partitions import format_cycle_type, format_partition, partitions_up_to
+from repst.snoracle import cycle_types_with_support_up_to
 
 
 def main() -> None:

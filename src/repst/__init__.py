@@ -1,11 +1,11 @@
 """Exact interpolation of symmetric-group representation data to a formal
 complex rank, cross-checked against classical S_n computations.
 
-Subpackages by topic:
+Modules by topic:
 
   exact       big-rational polynomials in t, binomial-coefficient basis,
               truncated multivariate power series
-  partitions  Young diagram primitives
+  partitions  Young diagram primitives and the cycle-type format
   snoracle    classical S_n dimensions, characters, class sums (the oracle)
   deligne     dimension polynomials, corner-move tensor rule, central-element
               eigenvalues at formal rank
@@ -30,6 +30,7 @@ from .exact import (
 )
 from .partitions import (
     BadLimitError,
+    CycleType,
     InvariantError,
     LimitExceededError,
     PadTooSmallError,
@@ -39,6 +40,6 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
-from .snoracle import CycleType, SizeMismatchError, character, class_size, hook_dim
+from .snoracle import SizeMismatchError, character, class_size, hook_dim
 
 __version__ = "0.1.0"

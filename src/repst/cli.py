@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from . import bounds, deligne, groupalg, schurweyl, verify
 from .exact import NonDivisibleError, OutOfBoundsError, poly_to_json, to_binomial_basis
-from .partitions import InvariantError, format_partition, parse_partition
-from .snoracle import parse_cycle_type
+from .partitions import InvariantError, format_partition, parse_cycle_type, parse_partition
 
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 3

@@ -25,8 +25,7 @@ from .exact import (
     falling_factorial_poly,
     to_binomial_basis,
 )
-from .partitions import Partition
-from .snoracle import CycleType, check_cycle_type, support
+from .partitions import CycleType, Partition, check_cycle_type, support
 
 Decomposition = dict[Partition, int]
 

@@ -213,7 +213,10 @@ class ExactPolynomial:
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((self.nums, self.den))
+        # a constant equals its scalar value, so it must hash like it
+        if len(self.nums) > 1:
+            return hash((self.nums, self.den))
+        return hash(Fraction(sum(self.nums), self.den))
 
     def __repr__(self):
         return f"ExactPolynomial({list(self.coeffs)!r})"
@@ -478,10 +481,6 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, bounds: Sequence[int], value) -> "TruncatedSeries":
         return cls(bounds, {(0,) * len(bounds): value})
-
-    @classmethod
-    def monomial(cls, bounds: Sequence[int], exponent: Sequence[int], coeff=1) -> "TruncatedSeries":
-        return cls(bounds, {tuple(exponent): coeff})
 
     def coefficient(self, exponent: Sequence[int]) -> ExactPolynomial:
         exp = tuple(int(e) for e in exponent)

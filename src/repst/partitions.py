@@ -2,6 +2,9 @@
 
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the empty diagram.  Cells are 1-based (row, col) pairs.
+
+A cycle type records only nontrivial cycles: entry i (0-based) counts
+cycles of length i + 2.  Fixed points are implied by the ambient n.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from functools import lru_cache
 from typing import Iterator
 
 Partition = tuple[int, ...]
+CycleType = tuple[int, ...]
 Cell = tuple[int, int]
 
 _DEFAULT_ENUMERATION_LIMIT = 40
@@ -71,6 +75,32 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam)
+
+
+def check_cycle_type(counts) -> CycleType:
+    rho = tuple(int(c) for c in counts)
+    if any(c < 0 for c in rho):
+        raise ValueError(f"cycle counts must be nonnegative: {rho}")
+    while rho and rho[-1] == 0:
+        rho = rho[:-1]
+    return rho
+
+
+def parse_cycle_type(text: str) -> CycleType:
+    """Parse "m1,m2,..." (counts of 2-cycles, 3-cycles, ...); "" is the identity."""
+    text = text.strip()
+    if not text:
+        return ()
+    return check_cycle_type(int(piece) for piece in text.split(","))
+
+
+def format_cycle_type(rho: CycleType) -> str:
+    return ",".join(str(c) for c in rho)
+
+
+def support(rho: CycleType) -> int:
+    """Number of points moved: sum of m_i * (i + 1) with cycle length i + 1."""
+    return sum(c * (i + 2) for i, c in enumerate(rho))
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import deligne
-from .exact import BadConstantTermError, ExactPolynomial, ONE, T, TruncatedSeries
+from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries
 from .partitions import (InvariantError, Partition, cells, format_partition, hook_lengths,
                          partitions_of)
 

@@ -3,10 +3,8 @@
 Hook-length dimensions, Murnaghan-Nakayama characters, and conjugacy-class
 sizes for honest S_n.  This module is the ground truth that the rank
 interpolations elsewhere are checked against, so it must not import from
-them; everything here is textbook S_n combinatorics.
-
-A cycle type records only nontrivial cycles: entry i (0-based) counts
-cycles of length i + 2.  Fixed points are implied by the ambient n.
+them; everything here is textbook S_n combinatorics.  The cycle-type
+format it reads is defined in partitions.
 """
 
 from __future__ import annotations
@@ -15,39 +13,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .partitions import InvariantError, Partition, conjugate, format_partition, hook_product
-
-CycleType = tuple[int, ...]
+from .partitions import (CycleType, InvariantError, Partition, check_cycle_type, format_partition,
+                         hook_product, support)
 
 
 class SizeMismatchError(ValueError):
     """The partition is too small to contain the requested cycles."""
-
-
-def check_cycle_type(counts) -> CycleType:
-    rho = tuple(int(c) for c in counts)
-    if any(c < 0 for c in rho):
-        raise ValueError(f"cycle counts must be nonnegative: {rho}")
-    while rho and rho[-1] == 0:
-        rho = rho[:-1]
-    return rho
-
-
-def parse_cycle_type(text: str) -> CycleType:
-    """Parse "m1,m2,..." (counts of 2-cycles, 3-cycles, ...); "" is the identity."""
-    text = text.strip()
-    if not text:
-        return ()
-    return check_cycle_type(int(piece) for piece in text.split(","))
-
-
-def format_cycle_type(rho: CycleType) -> str:
-    return ",".join(str(c) for c in rho)
-
-
-def support(rho: CycleType) -> int:
-    """Number of points moved: sum of m_i * (i + 1) with cycle length i + 1."""
-    return sum(c * (i + 2) for i, c in enumerate(rho))
 
 
 def cycle_lengths(rho: CycleType) -> tuple[int, ...]:

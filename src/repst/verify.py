@@ -3,20 +3,20 @@ classical oracle, every polynomial identity at its full documented range.
 
 Each suite returns a SuiteReport listing the individual comparisons that
 failed (none, on a correct build).  The CLI exposes these under
-`repst verify --suite ...`; the acceptance tests drive them directly.
+`repst verify --suite ...` through run_suites, which times them; the
+acceptance tests drive them directly.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from time import perf_counter
 
 from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
 from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, binomial_poly
-from .partitions import format_partition, partitions_up_to
-from .snoracle import format_cycle_type
+from .partitions import format_cycle_type, format_partition, partitions_up_to
 
 
 @dataclass
@@ -59,11 +59,11 @@ def _validity_start(lam, rho=()) -> int:
     """Smallest n at which the padded partition exists and contains the
     cycles: interpolation identities are only claimed from there on."""
     lowest = sum(lam) + (lam[0] if lam else 0)
-    return max(lowest, snoracle.support(rho))
+    return max(lowest, partitions.support(rho))
 
 
-def oracle_suite(max_size: int | None = None, max_n: int | None = None,
-                 max_m: int | None = None) -> SuiteReport:
+def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
+                 max_m: int | None = None, degree: int | None = None) -> SuiteReport:
     """Interpolated dimensions, central-element eigenvalues, and character
     values against honest S_n, plus integrality certificates.
 
@@ -72,7 +72,6 @@ def oracle_suite(max_size: int | None = None, max_n: int | None = None,
     points 5 / n = 10).  Explicit limits apply to every sub-check.
     """
     report = SuiteReport("oracle")
-    start = time.time()
     dim_size = max_size if max_size is not None else 6
     dim_n = max_n if max_n is not None else 20
     cen_size = max_size if max_size is not None else 4
@@ -137,7 +136,6 @@ def oracle_suite(max_size: int | None = None, max_n: int | None = None,
                            "rho": format_cycle_type(rho)},
                           "coefficient changed when adding a variable")
 
-    report.elapsed = time.time() - start
     return report
 
 
@@ -149,11 +147,11 @@ def _certify(report: SuiteReport, poly: ExactPolynomial, check: str, where: dict
         report.record(False, check, where, str(err))
 
 
-def pieri_suite(max_size: int | None = None) -> SuiteReport:
+def pieri_suite(*, max_size: int | None = None, max_n: int | None = None,
+                max_m: int | None = None, degree: int | None = None) -> SuiteReport:
     """(t - 1) * dim(lam) = sum of dims over the corner-move decomposition,
     as a polynomial identity, plus symmetry of the decomposition."""
     report = SuiteReport("pieri")
-    start = time.time()
     size = max_size if max_size is not None else 8
     decomps = {lam: deligne.pieri(lam) for lam in partitions_up_to(size)}
     for lam, decomp in decomps.items():
@@ -172,16 +170,15 @@ def pieri_suite(max_size: int | None = None) -> SuiteReport:
             report.record(back == mult, "pieri-symmetry",
                           {"lambda": format_partition(lam), "mu": format_partition(mu)},
                           f"multiplicity {mult} one way, {back} back")
-    report.elapsed = time.time() - start
     return report
 
 
-def stirling_suite(max_m: int | None = None, max_n: int | None = None) -> SuiteReport:
+def stirling_suite(*, max_size: int | None = None, max_n: int | None = None,
+                   max_m: int | None = None, degree: int | None = None) -> SuiteReport:
     """Filtered group-algebra Hilbert coefficients: interpolation route
     against elementary symmetric values beyond the nodes, agreement of the
     Gamma-ratio route, factorial row sums, integrality."""
     report = SuiteReport("stirling")
-    start = time.time()
     m_cap = max_m if max_m is not None else 6
     n_cap = max_n if max_n is not None else 13
     for m in range(m_cap + 1):
@@ -200,15 +197,14 @@ def stirling_suite(max_m: int | None = None, max_n: int | None = None) -> SuiteR
         total = sum(groupalg.hilbert_coefficient(m)(n) for m in range(max(n, 1)))
         report.record(total == factorial(n), "stirling-row-sum", {"n": n},
                       f"expected {factorial(n)}, got {total}")
-    report.elapsed = time.time() - start
     return report
 
 
-def bounds_suite(max_n: int | None = None) -> SuiteReport:
+def bounds_suite(*, max_size: int | None = None, max_n: int | None = None,
+                 max_m: int | None = None, degree: int | None = None) -> SuiteReport:
     """Appendix inequalities: the dimension lower bound for every partition,
     the AM-GM step, and the long-row-or-column scan window."""
     report = SuiteReport("bounds")
-    start = time.time()
     n_cap = max_n if max_n is not None else 18
     for n in range(1, n_cap + 1):
         sweep = bounds.bound_sweep(n)
@@ -223,16 +219,15 @@ def bounds_suite(max_n: int | None = None) -> SuiteReport:
             violations = bounds.lemma_scan(Fraction(1), 1, n)
             report.record(not violations, "lemma-scan", {"C": "1", "k": 1, "n": n},
                           f"violations: {[format_partition(v) for v in violations]}")
-    report.elapsed = time.time() - start
     return report
 
 
-def graded_suite(degree: int | None = None) -> SuiteReport:
+def graded_suite(*, max_size: int | None = None, max_n: int | None = None,
+                 max_m: int | None = None, degree: int | None = None) -> SuiteReport:
     """Tensor-power Hilbert series: binomial coefficients of (1+x)^t, the
     graded decomposition identity, the first filtration layer, and integer
     specializations."""
     report = SuiteReport("graded")
-    start = time.time()
     deg = degree if degree is not None else 6
     series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert((1, 1)), 10)
     for k in range(11):
@@ -261,7 +256,6 @@ def graded_suite(degree: int | None = None) -> SuiteReport:
                           {"h": ",".join(map(str, coeffs)), "n": n},
                           "t = n specialization differs from the n-fold product")
             product = product * base
-    report.elapsed = time.time() - start
     return report
 
 
@@ -274,25 +268,18 @@ SUITES = {
 }
 
 
-def run_suites(name: str, max_size: int | None = None, max_n: int | None = None,
-               max_m: int | None = None, degree: int | None = None) -> list[SuiteReport]:
-    """Run one named suite, or all of them, with optional range overrides."""
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
+def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
+    """Run one named suite, or all of them, with optional range overrides
+    (max_size, max_n, max_m, degree), timing each suite."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    for key, value in limits.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{key} must be nonnegative, got {value}")
     reports = []
-    for suite_name in names:
-        if suite_name == "oracle":
-            reports.append(oracle_suite(max_size, max_n, max_m))
-        elif suite_name == "pieri":
-            reports.append(pieri_suite(max_size))
-        elif suite_name == "stirling":
-            reports.append(stirling_suite(max_m, max_n))
-        elif suite_name == "bounds":
-            reports.append(bounds_suite(max_n))
-        elif suite_name == "graded":
-            reports.append(graded_suite(degree))
+    for suite in SUITES.values() if name == "all" else [SUITES[name]]:
+        start = perf_counter()
+        report = suite(**limits)
+        report.elapsed = perf_counter() - start
+        reports.append(report)
     return reports

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from repst import cli, deligne
+from repst import cli, deligne, verify
 from repst.exact import NonDivisibleError, OutOfBoundsError, poly_from_json
 from repst.partitions import parse_partition
 
@@ -151,6 +151,21 @@ def test_verify_suite_passes(capsys):
                            "--max-size", "3", "--max-n", "8", "--max-m", "4")
     assert code == 0
     assert "oracle" in out and "pass" in out
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--max-size", "max_size"), ("--max-n", "max_n"), ("--max-m", "max_m"), ("--deg", "degree"),
+])
+def test_verify_negative_cap_exits_2(capsys, flag, key):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", flag, "-5")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {key} must be nonnegative, got -5\n"
+
+
+def test_run_suites_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suites("nope")
 
 
 def test_verify_all_json(capsys):

@@ -16,6 +16,7 @@ from repst.exact import (
     OutOfBoundsError,
     T,
     TruncatedSeries,
+    ZERO,
     binomial_poly,
     convolve_coefficient,
     falling_factorial_poly,
@@ -212,6 +213,12 @@ def test_equal_polynomials_hash_equal(a, b, c):
     if c:
         same = a.scale(c).scale(1 / c)
         assert same == a and hash(same) == hash(a)
+
+
+def test_constant_polynomials_hash_like_their_scalar():
+    assert len({ONE, 1}) == 1
+    assert len({ZERO, 0}) == 1
+    assert hash(ExactPolynomial((Fraction(1, 2),))) == hash(Fraction(1, 2))
 
 
 def test_mixed_scalar_arithmetic_and_zero():

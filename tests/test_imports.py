@@ -1,15 +1,21 @@
 """The oracle stays independent: checked on the import statements in the
-source, so an import inside a function counts as well."""
+source, so an import inside a function counts as well.  Invariants are
+checked with typed exceptions, never with assert, which python -O strips."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import repst
+
+
+SOURCE = Path(repst.__file__).parent
 
 
 def _imported_names(module: str) -> set[str]:
     """Every dotted component and imported name of every import in the module."""
-    tree = ast.parse((Path(repst.__file__).parent / f"{module}.py").read_text())
+    tree = ast.parse((SOURCE / f"{module}.py").read_text())
     names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -25,10 +31,23 @@ def test_snoracle_imports_no_interpolation_module():
     assert not _imported_names("snoracle") & {"deligne", "schurweyl", "groupalg"}
 
 
+@pytest.mark.parametrize("module", ["exact", "deligne", "schurweyl", "groupalg"])
+def test_interpolation_modules_import_nothing_from_snoracle(module):
+    assert "snoracle" not in _imported_names(module)
+
+
 def test_deligne_does_not_import_hook_dim():
     assert "hook_dim" not in _imported_names("deligne")
 
 
 def test_import_walker_sees_known_imports():
     assert {"partitions", "hook_product"} <= _imported_names("snoracle")
-    assert {"snoracle", "support", "partitions"} <= _imported_names("deligne")
+    assert {"partitions", "support", "exact"} <= _imported_names("deligne")
+
+
+def test_no_assert_statements_in_the_package():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

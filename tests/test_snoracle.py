@@ -40,10 +40,10 @@ def test_class_size_non_dividing_centralizer_is_a_typed_error(monkeypatch):
 
 
 def test_cycle_type_parsing_and_support():
-    assert sn.parse_cycle_type("") == ()
-    assert sn.parse_cycle_type("1,0,2") == (1, 0, 2)
-    assert sn.support((1, 0, 2)) == 2 + 8
-    assert sn.check_cycle_type((1, 0)) == (1,)
+    assert pt.parse_cycle_type("") == ()
+    assert pt.parse_cycle_type("1,0,2") == (1, 0, 2)
+    assert pt.support((1, 0, 2)) == 2 + 8
+    assert pt.check_cycle_type((1, 0)) == (1,)
     assert sn.cycle_lengths((1, 1)) == (3, 2)
 
 
