@@ -447,6 +447,11 @@ class TruncatedSeries:
 
     Binary operations intersect the truncation bounds variable by variable:
     a coefficient of the result is only trustworthy where both operands are.
+
+    exp, log and pow_poly are power series sum_k c_k u^k in a series u with
+    constant term 0 (u = self for exp, self - 1 for the other two).  All
+    three run through the one expansion loop _power_series and differ only
+    in u, c_0 and the step c_{k-1} -> c_k.
     """
 
     __slots__ = ("bounds", "terms")
@@ -544,32 +549,33 @@ class TruncatedSeries:
             n >>= 1
         return result
 
+    def _power_series(self, first, step) -> "TruncatedSeries":
+        """sum_k c_k self^k with c_0 = first and c_k = step(c_{k-1}, k), for a
+        series with constant term 0: the sum stops at the first power that
+        truncation kills, self^(sum(bounds) + 1) at the latest."""
+        result = TruncatedSeries.constant(self.bounds, first)
+        power = TruncatedSeries.constant(self.bounds, 1)
+        c = first
+        for k in range(1, sum(self.bounds) + 1):
+            power = power * self
+            if not power.terms:
+                break
+            c = step(c, k)
+            result = result + power.scale(c)
+        return result
+
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term (finite sum under truncation)."""
         if not self.constant_term().is_zero:
             raise BadConstantTermError("exp requires constant term 0")
-        result = TruncatedSeries.constant(self.bounds, 1)
-        term = TruncatedSeries.constant(self.bounds, 1)
-        for k in range(1, sum(self.bounds) + 1):
-            term = (term * self).scale(Fraction(1, k))
-            if not term.terms:
-                break
-            result = result + term
-        return result
+        return self._power_series(ONE, lambda c, k: c.scale(Fraction(1, k)))
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term 1."""
         if self.constant_term() != ONE:
             raise BadConstantTermError("log requires constant term 1")
         u = self - TruncatedSeries.constant(self.bounds, 1)
-        result = TruncatedSeries(self.bounds)
-        power = TruncatedSeries.constant(self.bounds, 1)
-        for k in range(1, sum(self.bounds) + 1):
-            power = power * u
-            if not power.terms:
-                break
-            result = result + power.scale(Fraction((-1) ** (k + 1), k))
-        return result
+        return u._power_series(ZERO, lambda c, k: Fraction((-1) ** (k + 1), k))
 
     def pow_poly(self, exponent: ExactPolynomial) -> "TruncatedSeries":
         """h**g(t) for a series h with constant term 1 and polynomial exponent g.
@@ -582,16 +588,7 @@ class TruncatedSeries:
             raise BadConstantTermError("pow_poly requires constant term 1")
         exponent = _as_poly(exponent)
         u = self - TruncatedSeries.constant(self.bounds, 1)
-        result = TruncatedSeries.constant(self.bounds, 1)
-        power = TruncatedSeries.constant(self.bounds, 1)
-        binom = ONE
-        for d in range(1, sum(self.bounds) + 1):
-            power = power * u
-            if not power.terms:
-                break
-            binom = (binom * (exponent - (d - 1))).scale(Fraction(1, d))
-            result = result + power.scale(binom)
-        return result
+        return u._power_series(ONE, lambda c, k: (c * (exponent - (k - 1))).scale(Fraction(1, k)))
 
     def eval_t(self, value: Scalar) -> "TruncatedSeries":
         """Specialize every polynomial coefficient at t = value."""

@@ -10,6 +10,7 @@ cycles of length i + 2.  Fixed points are implied by the ambient n.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -177,6 +178,7 @@ def _with_removed(lam: Partition, row: int) -> Partition:
     return tuple(p for p in parts if p > 0)
 
 
+@dataclass(frozen=True, slots=True)
 class CornerMoves:
     """The diagrams reachable from lam by one corner-cell move.
 
@@ -187,26 +189,10 @@ class CornerMoves:
              corner_count instead)
     """
 
-    __slots__ = ("added", "removed", "moved", "corner_count")
-
-    def __init__(self, added, removed, moved, corner_count):
-        object.__setattr__(self, "added", frozenset(added))
-        object.__setattr__(self, "removed", frozenset(removed))
-        object.__setattr__(self, "moved", frozenset(moved))
-        object.__setattr__(self, "corner_count", corner_count)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CornerMoves is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CornerMoves):
-            return NotImplemented
-        return (self.added, self.removed, self.moved, self.corner_count) == (
-            other.added, other.removed, other.moved, other.corner_count)
-
-    def __repr__(self):
-        return (f"CornerMoves(added={sorted(self.added)}, removed={sorted(self.removed)}, "
-                f"moved={sorted(self.moved)}, corner_count={self.corner_count})")
+    added: frozenset[Partition]
+    removed: frozenset[Partition]
+    moved: frozenset[Partition]
+    corner_count: int
 
 
 def corner_moves(lam: Partition) -> CornerMoves:
@@ -220,7 +206,7 @@ def corner_moves(lam: Partition) -> CornerMoves:
             candidate = _with_added(shrunk, s)
             if candidate != lam:
                 moved.add(candidate)
-    return CornerMoves(added, removed, moved, len(corners))
+    return CornerMoves(frozenset(added), frozenset(removed), frozenset(moved), len(corners))
 
 
 def pad(lam: Partition, n: int) -> Partition:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import deligne
 from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries
-from .partitions import (InvariantError, Partition, cells, format_partition, hook_lengths,
+from .partitions import (InvariantError, Partition, cells, format_partition, hook_product,
                          partitions_of)
 
 
@@ -56,9 +56,7 @@ def schur_dimension(lam: Partition, d: int) -> int:
     num = 1
     for i, j in cells(lam):
         num *= d + (j - i)
-    hooks = 1
-    for h in hook_lengths(lam).values():
-        hooks *= h
+    hooks = hook_product(lam)
     quotient, remainder = divmod(num, hooks)
     if remainder:
         raise InvariantError(f"hook product {hooks} does not divide content product {num}")
@@ -99,22 +97,17 @@ def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
     # (1 - x)^{-d}, truncated: coefficients binom(d + j - 1, j)
     sym = TruncatedSeries((degree,), {(0,): 1, (1,): -1}).pow_poly(
         ExactPolynomial.constant(-d))
-    layer_sums = []
+    layers = {}
     for size in range(degree + 1):
         total = ExactPolynomial()
         for lam in partitions_of(size):
             s = schur_dimension(lam, d)
             if s:
                 total = total + deligne.dimension_poly(lam).scale(s)
-        layer_sums.append(total)
-    first_failure = None
-    for k in range(degree + 1):
-        rhs = ExactPolynomial()
-        for j in range(k + 1):
-            rhs = rhs + sym.coefficient((j,)) * layer_sums[k - j]
-        if lhs.coefficient((k,)) != rhs:
-            first_failure = k
-            break
+        layers[(size,)] = total
+    rhs = sym * TruncatedSeries((degree,), layers)
+    first_failure = next((k for k in range(degree + 1)
+                          if lhs.coefficient((k,)) != rhs.coefficient((k,))), None)
     return GradedCheckReport(d, degree, first_failure is None, first_failure)
 
 
@@ -135,6 +128,8 @@ class VermaWeight:
     space_dim: int
 
     def __post_init__(self):
+        if self.space_dim < 1:
+            raise ValueError(f"space_dim must be at least 1, got {self.space_dim}")
         if len(self.lam) > self.space_dim - 1:
             raise ValueError(
                 f"partition {format_partition(self.lam)} needs at most "
@@ -148,6 +143,8 @@ def verma_candidates(weight: VermaWeight, t_max: int) -> list[tuple[int, int, in
     Degeneration of the module with highest weight (t - |lam|, lam) forces
     t to appear in this list; the converse is not asserted.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
     lam = weight.lam
     size = sum(lam)
     found = []
@@ -186,8 +183,9 @@ def interlacing_branch(lam: Partition, space_dim: int, size_bound: int) -> list[
     These index the multiplicity-free restriction of the induced module to
     the Levi subgroup: mu/lam runs over horizontal strips.
     """
-    if len(lam) > space_dim - 1:
-        raise ValueError("partition has too many parts for this space")
+    VermaWeight(lam, space_dim)  # checks N >= 1 and len(lam) <= N - 1
+    if size_bound < 0:
+        raise ValueError(f"size_bound must be nonnegative, got {size_bound}")
     results: list[Partition] = []
     max_rows = space_dim - 1
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import (CycleType, InvariantError, Partition, check_cycle_type, format_partition,
-                         hook_product, support)
+                         hook_product, partitions_up_to, support)
 
 
 class SizeMismatchError(ValueError):
@@ -112,19 +112,8 @@ def central_eigenvalue(n: int, rho: CycleType, mu: Partition) -> Fraction:
 
 
 def cycle_types_with_support_up_to(m_max: int) -> list[CycleType]:
-    """All cycle types moving at most m_max points, identity included."""
-    found: list[CycleType] = []
-
-    def extend(counts: list[int], min_length: int, budget: int):
-        found.append(check_cycle_type(counts))
-        for length in range(max(min_length, 2), budget + 1):
-            while len(counts) < length - 1:
-                counts.append(0)
-            counts[length - 2] += 1
-            extend(counts, length, budget - length)
-            counts[length - 2] -= 1
-            while counts and counts[-1] == 0:
-                counts.pop()
-
-    extend([], 2, m_max)
-    return sorted(set(found), key=lambda r: (support(r), r))
+    """All cycle types moving at most m_max points, identity included,
+    ordered by (support, cycle type).  A type moving exactly k points is
+    the cycle type of a partition of k with no part equal to 1."""
+    return sorted((cycle_type_of_partition(shape) for shape in partitions_up_to(m_max)
+                   if 1 not in shape), key=lambda r: (support(r), r))

@@ -45,6 +45,10 @@ class SuiteReport:
         if not ok:
             self.failures.append(Failure(check, where, detail))
 
+    def expect(self, check: str, where: dict, expected, got):
+        """Record the comparison got == expected, reporting both on failure."""
+        self.record(got == expected, check, where, f"expected {expected}, got {got}")
+
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
@@ -81,20 +85,14 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
     for lam in partitions_up_to(dim_size):
         poly = deligne.dimension_poly(lam)
         for n in range(_validity_start(lam), dim_n + 1):
-            expected = snoracle.hook_dim(partitions.pad(lam, n))
-            got = poly(n)
-            report.record(got == expected, "dim-oracle",
-                          {"lambda": format_partition(lam), "n": n},
-                          f"expected {expected}, got {got}")
+            report.expect("dim-oracle", {"lambda": format_partition(lam), "n": n},
+                          snoracle.hook_dim(partitions.pad(lam, n)), poly(n))
 
     for lam in partitions_up_to(dim_size):
         poly = deligne.jm_eigenvalue(lam)
         for n in range(max(_validity_start(lam, (1,)), 2), dim_n + 1):
-            expected = snoracle.central_eigenvalue(n, (1,), partitions.pad(lam, n))
-            got = poly(n)
-            report.record(got == expected, "jm-oracle",
-                          {"lambda": format_partition(lam), "n": n},
-                          f"expected {expected}, got {got}")
+            report.expect("jm-oracle", {"lambda": format_partition(lam), "n": n},
+                          snoracle.central_eigenvalue(n, (1,), partitions.pad(lam, n)), poly(n))
 
     cycle_types = snoracle.cycle_types_with_support_up_to(cen_m)
     for lam in partitions_up_to(cen_size):
@@ -105,14 +103,9 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
                 mu = partitions.pad(lam, n)
                 where = {"lambda": format_partition(lam),
                          "rho": format_cycle_type(rho), "n": n}
-                expected_chi = snoracle.character(mu, rho)
-                got_chi = frob(n)
-                report.record(got_chi == expected_chi, "character-shadow", where,
-                              f"expected {expected_chi}, got {got_chi}")
-                expected_eig = snoracle.central_eigenvalue(n, rho, mu)
-                got_eig = omega(n)
-                report.record(got_eig == expected_eig, "central-oracle", where,
-                              f"expected {expected_eig}, got {got_eig}")
+                report.expect("character-shadow", where, snoracle.character(mu, rho), frob(n))
+                report.expect("central-oracle", where,
+                              snoracle.central_eigenvalue(n, rho, mu), omega(n))
 
     for lam in partitions_up_to(dim_size):
         _certify(report, deligne.dimension_poly(lam), "integrality-dim",
@@ -159,9 +152,7 @@ def pieri_suite(*, max_size: int | None = None, max_n: int | None = None,
         rhs = ExactPolynomial()
         for mu, mult in decomp.items():
             rhs = rhs + deligne.dimension_poly(mu).scale(mult)
-        report.record(lhs == rhs, "pieri-dimension",
-                      {"lambda": format_partition(lam)},
-                      f"expected {lhs}, got {rhs}")
+        report.expect("pieri-dimension", {"lambda": format_partition(lam)}, lhs, rhs)
     for lam, decomp in decomps.items():
         for mu, mult in decomp.items():
             if mu not in decomps:
@@ -185,18 +176,14 @@ def stirling_suite(*, max_size: int | None = None, max_n: int | None = None,
         poly = groupalg.hilbert_coefficient(m)
         table = groupalg.elementary_symmetric_table(m, list(range(1, n_cap)))
         for n in range(2 * m + 1, n_cap + 1):
-            expected = table[n - 1][m]
-            got = poly(n)
-            report.record(got == expected, "stirling-values", {"m": m, "n": n},
-                          f"expected {expected}, got {got}")
+            report.expect("stirling-values", {"m": m, "n": n}, table[n - 1][m], poly(n))
         gamma = groupalg.hilbert_coefficient_gamma(m)
         report.record(gamma == poly, "gamma-route", {"m": m},
                       f"interpolation gave {poly}, Gamma expansion gave {gamma}")
         _certify(report, poly, "integrality-stirling", {"m": m})
     for n in range(min(9, n_cap) + 1):
         total = sum(groupalg.hilbert_coefficient(m)(n) for m in range(max(n, 1)))
-        report.record(total == factorial(n), "stirling-row-sum", {"n": n},
-                      f"expected {factorial(n)}, got {total}")
+        report.expect("stirling-row-sum", {"n": n}, factorial(n), total)
     return report
 
 
@@ -231,10 +218,7 @@ def graded_suite(*, max_size: int | None = None, max_n: int | None = None,
     deg = degree if degree is not None else 6
     series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert((1, 1)), 10)
     for k in range(11):
-        got = series.coefficient((k,))
-        expected = binomial_poly(0, k)
-        report.record(got == expected, "binomial-series", {"k": k},
-                      f"expected {expected}, got {got}")
+        report.expect("binomial-series", {"k": k}, binomial_poly(0, k), series.coefficient((k,)))
     for d in (1, 2, 3):
         outcome = schurweyl.graded_decomposition_check(d, deg)
         report.record(outcome.passed, "graded-decomposition",
@@ -244,8 +228,7 @@ def graded_suite(*, max_size: int | None = None, max_n: int | None = None,
         poly = schurweyl.degree_one_dimension(v)
         h = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert.ungraded(v - 1), 1)
         truncated = h.coefficient((0,)) + h.coefficient((1,))
-        report.record(poly == truncated, "degree-one-layer", {"v": v},
-                      f"expected {poly}, got {truncated}")
+        report.expect("degree-one-layer", {"v": v}, poly, truncated)
     for coeffs in ((1, 1), (1, 2, 1), (1, 0, 3)):
         h = schurweyl.UnitalHilbert(coeffs)
         power = schurweyl.tensor_power_hilbert(h, 6)

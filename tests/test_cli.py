@@ -86,6 +86,29 @@ def test_branch_command(capsys):
     assert branches == {(1,), (2,), (1, 1)}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["branch", "--lambda", "1", "--N", "3", "--max-size", "-1"],
+     "size_bound must be nonnegative, got -1"),
+    (["verma", "--lambda", "1", "--N", "4", "--t-max", "-5"], "t_max must be nonnegative, got -5"),
+    (["verma", "--lambda", "1", "--N", "0"], "space_dim must be at least 1, got 0"),
+    (["branch", "--lambda", "", "--N", "0"], "space_dim must be at least 1, got 0"),
+])
+def test_malformed_verma_and_branch_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verma_and_branch_accept_a_one_dimensional_space(capsys):
+    code, out, _ = run_cli(capsys, "verma", "--lambda", "", "--N", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["t"] == []
+    code, out, _ = run_cli(capsys, "branch", "--lambda", "", "--N", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["branches"] == [""]
+
+
 def test_stirling_command(capsys):
     code, out, _ = run_cli(capsys, "stirling", "--max-m", "2", "--json")
     assert code == 0

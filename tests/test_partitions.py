@@ -104,6 +104,10 @@ def test_corner_moves_known_values():
     assert cm.removed == {(2,), (1, 1)}
     assert cm.moved == {(3,), (1, 1, 1)}
     assert cm.corner_count == 2
+    assert cm == pt.corner_moves((2, 1))
+    assert cm != pt.corner_moves((1, 1))
+    with pytest.raises(AttributeError):
+        cm.corner_count = 3
 
 
 @given(lam=partition_strategy(max_n=8))

@@ -55,7 +55,7 @@ def test_schur_dimension_known_values():
 
 
 def test_schur_dimension_non_dividing_hook_product_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(sw, "hook_lengths", lambda lam: {(0, 0): 7})
+    monkeypatch.setattr(sw, "hook_product", lambda lam: 7)
     with pytest.raises(pt.InvariantError, match="hook product 7 does not divide"):
         sw.schur_dimension((1,), 2)
 
@@ -86,6 +86,15 @@ def test_graded_decomposition_passes(d):
     }
 
 
+def test_graded_decomposition_reports_the_first_broken_degree(monkeypatch):
+    original = sw.schur_dimension
+    monkeypatch.setattr(sw, "schur_dimension",
+                        lambda lam, d: original(lam, d) + (sum(lam) == 3))
+    report = sw.graded_decomposition_check(2, 6)
+    assert report.passed is False
+    assert report.first_failure == 3
+
+
 def test_degree_one_dimension_known_values():
     assert sw.degree_one_dimension(1) == 1
     assert sw.degree_one_dimension(2) == T + 1
@@ -103,7 +112,10 @@ def test_degree_one_matches_series_truncation(v):
 def test_verma_weight_validation():
     with pytest.raises(ValueError):
         sw.VermaWeight((1, 1, 1), 3)
+    with pytest.raises(ValueError, match="space_dim must be at least 1, got 0"):
+        sw.VermaWeight((), 0)
     sw.VermaWeight((1, 1), 3)
+    sw.VermaWeight((), 1)
 
 
 def test_verma_candidates_empty_partition_fills_z_plus():

@@ -170,3 +170,20 @@ def test_cycle_types_with_support_up_to():
     assert sn.cycle_types_with_support_up_to(0) == [()]
     assert set(sn.cycle_types_with_support_up_to(5)) == {
         (), (1,), (0, 1), (2,), (0, 0, 1), (1, 1), (0, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_cycle_types_with_support_up_to_are_the_partitions_without_fixed_points(m):
+    # types moving exactly k points <-> partitions of k with no part 1,
+    # counted by p(k) - p(k - 1)
+    p = [len(pt.partitions_of(k)) for k in range(m + 1)]
+    types = sn.cycle_types_with_support_up_to(m)
+    assert len(types) == sum(p[k] - (p[k - 1] if k else 0) for k in range(m + 1))
+    assert len(set(types)) == len(types)
+    assert types == sorted(types, key=lambda r: (pt.support(r), r))
+
+
+def test_cycle_types_with_support_up_to_six_is_pinned():
+    assert sn.cycle_types_with_support_up_to(6) == [
+        (), (1,), (0, 1), (0, 0, 1), (2,), (0, 0, 0, 1), (1, 1),
+        (0, 0, 0, 0, 1), (0, 2), (1, 0, 1), (3,)]
