@@ -14,15 +14,22 @@ import sys
 
 from repst import deligne
 from repst.exact import poly_to_json
-from repst.partitions import format_cycle_type, format_partition, partitions_up_to
+from repst.partitions import (check_size_cap, format_cycle_type, format_partition,
+                              partitions_up_to)
 from repst.snoracle import cycle_types_with_support_up_to
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-size", type=int, default=5)
     parser.add_argument("--max-m", type=int, default=5)
     args = parser.parse_args()
+    try:
+        check_size_cap("max_size", args.max_size)
+        check_size_cap("max_m", args.max_m)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     tables = {
         "dimensions": {
@@ -40,7 +47,8 @@ def main() -> None:
     }
     json.dump(tables, sys.stdout, indent=2)
     print()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,19 +12,25 @@ counterexamples at N - 1.
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from repst import bounds
-from repst.partitions import format_partition
+from repst.partitions import check_size_cap, format_partition
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=20)
     parser.add_argument("--c", type=Fraction, nargs="*",
                         default=[Fraction(1), Fraction(2), Fraction(10)])
     parser.add_argument("--k", type=int, nargs="*", default=[0, 1, 2, 3])
     args = parser.parse_args()
+    try:
+        check_size_cap("n_max", args.n_max)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     print(f"{'C':>6} {'k':>3} {'threshold':>10}  last counterexamples")
     for c in args.c:
@@ -41,7 +47,8 @@ def main() -> None:
             if len(last) > 4:
                 shown += f", ... ({len(last)} total)"
             print(f"{str(c):>6} {k:>3} {threshold:>10}  n={threshold - 1}: {shown}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 from .partitions import Partition, conjugate, format_partition, partitions_of
 from .snoracle import SizeMismatchError, hook_dim
@@ -96,26 +96,23 @@ class BoundSweepReport:
 
 def bound_sweep(n: int) -> BoundSweepReport:
     """Check hook_dim(mu) >= dimension_lower_bound(n, mu) for every mu of n,
-    reporting the minimum slack (dimension minus bound)."""
+    reporting the minimum slack (dimension minus bound) and the first mu,
+    in enumeration order, that attains it."""
     if n < 1:
         raise ValueError("n must be positive")
-    min_slack = None
-    argmin: Partition = ()
-    passed = True
-    count = 0
-    bound_at: dict[int, Fraction] = {}  # the bound depends on mu only through d
-    for mu in partitions_of(n):
-        count += 1
+    mus = partitions_of(n)
+    # the bound depends on mu only through d, so per d only the first mu of
+    # least dimension can attain the minimum slack
+    least: dict[int, tuple[int, int, Partition]] = {}  # d -> (dim, position, mu)
+    for position, mu in enumerate(mus):
         d = max(mu[0], len(mu))
-        if d not in bound_at:
-            bound_at[d] = dimension_lower_bound(n, mu)
-        slack = hook_dim(mu) - bound_at[d]
-        if slack < 0:
-            passed = False
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-            argmin = mu
-    return BoundSweepReport(n, count, passed, min_slack, argmin)
+        dim = hook_dim(mu)
+        best = least.get(d)
+        if best is None or dim < best[0]:
+            least[d] = (dim, position, mu)
+    min_slack, _, argmin = min((dim - dimension_lower_bound(n, mu), position, mu)
+                               for dim, position, mu in least.values())
+    return BoundSweepReport(n, len(mus), min_slack >= 0, min_slack, argmin)
 
 
 def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
@@ -126,13 +123,10 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     hooks-with-long-arm-or-leg; nonempty lists are expected at small n since
     the statement is only eventually true.
     """
-    c = Fraction(c)
-    threshold = c * Fraction(n) ** k
-    violations = []
-    for mu in partitions_of(n):
-        if hook_dim(mu) <= threshold and mu[0] < n - k and len(mu) < n - k:
-            violations.append(mu)
-    return violations
+    # hook_dim is an integer, so comparing it with the floor is exact
+    threshold = floor(Fraction(c) * Fraction(n) ** k)
+    return [mu for mu in partitions_of(n)
+            if mu[0] < n - k and len(mu) < n - k and hook_dim(mu) <= threshold]
 
 
 def find_threshold(c: Fraction, k: int, n_max: int) -> int | None:

@@ -28,6 +28,7 @@ from .exact import (
     TruncatedSeries,
     lagrange_interpolate,
 )
+from .partitions import check_size_cap
 
 
 def elementary_symmetric_table(m_max: int, values: list[int]) -> list[list[Fraction]]:
@@ -99,9 +100,9 @@ def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
 
 
 def coefficient_table(m_max: int) -> dict[int, ExactPolynomial]:
-    """Coefficients 0..m_max keyed by degree; entry 0 is the constant 1."""
-    if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max}")
+    """Coefficients 0..m_max keyed by degree; entry 0 is the constant 1.
+    m_max is checked against the enumeration cap before any work."""
+    check_size_cap("m_max", m_max)
     return {m: hilbert_coefficient(m) for m in range(m_max + 1)}
 
 

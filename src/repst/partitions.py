@@ -56,6 +56,17 @@ def enumeration_limit() -> int:
     return limit
 
 
+def check_size_cap(name: str, value: int) -> None:
+    """Reject a size, or a caller's cap on sizes, that is negative or above
+    enumeration_limit(); callers check their caps before any work."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    if value > enumeration_limit():
+        raise LimitExceededError(
+            f"{name}={value} exceeds the enumeration cap {enumeration_limit()}; "
+            "raise REPST_LIMITS to allow it")
+
+
 def check_partition(parts) -> Partition:
     """Validate and normalize an iterable of parts into a Partition."""
     lam = tuple(int(p) for p in parts)
@@ -244,38 +255,44 @@ def b_set(lam: Partition) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def _partitions_of(n: int) -> tuple[Partition, ...]:
+    """Partitions of n, descending lexicographically, by the ZS1 algorithm
+    (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998).  The parts
+    live in one list whose entries after index h, the last part above 1,
+    are all 1; each step lowers x[h] by one and refills the cells after it
+    greedily with parts of at most the new x[h]."""
     if n == 0:
         return ((),)
-    result: list[Partition] = []
-    # descending lexicographic generation
-    current = [n]
-    while True:
-        result.append(tuple(current))
-        # find rightmost part > 1
-        idx = len(current) - 1
-        while idx >= 0 and current[idx] == 1:
-            idx -= 1
-        if idx < 0:
-            break
-        current[idx] -= 1
-        remainder = len(current) - idx - 1 + 1
-        current = current[: idx + 1]
-        cap = current[idx]
-        while remainder > 0:
-            piece = min(cap, remainder)
-            current.append(piece)
-            remainder -= piece
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0  # number of parts, index of the last part above 1
+    result = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the cells to place after index h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        result.append(tuple(x[:m]))
     return tuple(result)
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, descending lexicographically, each exactly once."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > enumeration_limit():
-        raise LimitExceededError(
-            f"partitions_of({n}) exceeds the enumeration cap "
-            f"{enumeration_limit()}; raise REPST_LIMITS to allow it")
+    check_size_cap("n", n)
     return _partitions_of(n)
 
 

@@ -1,20 +1,24 @@
 """Classical symmetric-group reference computations.
 
-Hook-length dimensions, Murnaghan-Nakayama characters, and conjugacy-class
-sizes for honest S_n.  This module is the ground truth that the rank
-interpolations elsewhere are checked against, so it must not import from
-them; everything here is textbook S_n combinatorics.  The cycle-type
-format it reads is defined in partitions.
+Dimensions by Frobenius's formula, Murnaghan-Nakayama characters, and
+conjugacy-class sizes for honest S_n.  This module is the ground truth that
+the rank interpolations elsewhere are checked against, so it must not
+import from them; everything here is textbook S_n combinatorics.  Its
+dimension formula shares no code with partitions.hook_product, which the
+interpolated dimensions divide by.  The cycle-type format it reads is
+defined in partitions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import combinations, starmap
+from math import factorial, prod
+from operator import sub
 
 from .partitions import (CycleType, InvariantError, Partition, check_cycle_type, format_partition,
-                         hook_product, partitions_up_to, support)
+                         partitions_up_to, support)
 
 
 class SizeMismatchError(ValueError):
@@ -39,11 +43,23 @@ def cycle_type_of_partition(shape: Partition) -> CycleType:
 
 
 def hook_dim(mu: Partition) -> int:
-    """Dimension of the irreducible S_{|mu|}-representation: |mu|! / hooks."""
+    """Dimension of the irreducible S_{|mu|}-representation, by Frobenius's
+    formula (Fulton-Harris, eq. 4.11): with beta_i = mu_i + l - 1 - i for
+    0-based i and l = len(mu),
+
+        f^mu = |mu|! prod_{i<j} (beta_i - beta_j) / prod_i beta_i!.
+
+    It does not use partitions.hook_product, so it checks the hook-length
+    route independently."""
     n = sum(mu)
-    quotient, remainder = divmod(factorial(n), hook_product(mu))
+    top = len(mu) - 1
+    beta = [part + top - i for i, part in enumerate(mu)]
+    quotient, remainder = divmod(factorial(n) * prod(starmap(sub, combinations(beta, 2))),
+                                 prod(map(factorial, beta)))
     if remainder:
-        raise InvariantError(f"hook product of {format_partition(mu)} does not divide {n}!")
+        raise InvariantError(
+            f"beta-number factorials of {format_partition(mu)} do not divide {n}! "
+            "times their Vandermonde product")
     return quotient
 
 

@@ -253,12 +253,13 @@ SUITES = {
 
 def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
     """Run one named suite, or all of them, with optional range overrides
-    (max_size, max_n, max_m, degree), timing each suite."""
+    (max_size, max_n, max_m, degree), timing each suite.  Every override is
+    checked against the enumeration cap before any suite runs."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     for key, value in limits.items():
-        if value is not None and value < 0:
-            raise ValueError(f"{key} must be nonnegative, got {value}")
+        if value is not None:
+            partitions.check_size_cap(key, value)
     reports = []
     for suite in SUITES.values() if name == "all" else [SUITES[name]]:
         start = perf_counter()

@@ -21,8 +21,8 @@ def test_bound_never_exceeds_dimension(mu):
     assert sn.hook_dim(mu) >= bd.dimension_lower_bound(sum(mu), mu)
 
 
-def test_bound_sweep_matches_per_partition_reference_through_22():
-    for n in range(1, 23):
+def test_bound_sweep_matches_per_partition_reference_through_24():
+    for n in range(1, 25):
         slacks = []
         for mu in pt.partitions_of(n):
             d = max(mu[0], len(mu))
@@ -98,6 +98,17 @@ def test_lemma_scan_small_n_can_fail():
     for mu in violations:
         assert mu[0] < 4 and len(mu) < 4
         assert sn.hook_dim(mu) <= 36
+
+
+# 21/5 * 10 = 42 = hook_dim((5, 5)) puts a dimension exactly on the budget
+@pytest.mark.parametrize("c, k", [(Fraction(1), 1), (Fraction(1, 2), 2), (Fraction(3), 1),
+                                  (Fraction(21, 5), 1)])
+def test_lemma_scan_matches_the_per_partition_reference(c, k):
+    for n in range(10, 16):
+        expected = [mu for mu in pt.partitions_of(n)
+                    if sn.hook_dim(mu) <= c * Fraction(n) ** k
+                    and mu[0] < n - k and len(mu) < n - k]
+        assert bd.lemma_scan(c, k, n) == expected
 
 
 @given(c=st.fractions(min_value="1/2", max_value=4, max_denominator=4),

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """The CLI in a child process, so that a cap that does not fail fast
+    fails the test by its timeout instead of hanging the run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("REPST_LIMITS", None)
+    return subprocess.run([sys.executable, "-m", "repst.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
 
 
 def test_dim_human_output(capsys):
@@ -140,6 +153,22 @@ def test_stirling_negative_max_m_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: m_max must be nonnegative, got -1\n"
+
+
+def test_stirling_cap_beyond_the_enumeration_limit_fails_fast():
+    result = run_cli_process("stirling", "--max-m", "100000000000000000000")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: m_max=100000000000000000000 exceeds the enumeration cap 40; "
+                             "raise REPST_LIMITS to allow it\n")
+
+
+def test_verify_size_cap_beyond_the_enumeration_limit_fails_fast():
+    result = run_cli_process("verify", "--suite", "oracle", "--max-size", "50", "--max-n", "0")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: max_size=50 exceeds the enumeration cap 40; "
+                             "raise REPST_LIMITS to allow it\n")
 
 
 def test_malformed_limit_exits_2(capsys, monkeypatch):

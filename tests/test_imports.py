@@ -40,8 +40,14 @@ def test_deligne_does_not_import_hook_dim():
     assert "hook_dim" not in _imported_names("deligne")
 
 
+def test_snoracle_does_not_import_hook_product():
+    # the oracle's dimensions come from Frobenius's formula, so they check
+    # the hook-length route that dimension_poly divides by
+    assert "hook_product" not in _imported_names("snoracle")
+
+
 def test_import_walker_sees_known_imports():
-    assert {"partitions", "hook_product"} <= _imported_names("snoracle")
+    assert {"partitions", "check_cycle_type"} <= _imported_names("snoracle")
     assert {"partitions", "support", "exact"} <= _imported_names("deligne")
 
 

@@ -170,6 +170,32 @@ def test_partition_enumeration_counts():
     assert all(sum(lam) == 10 for lam in pt.partitions_of(10))
 
 
+def _partition_numbers(n_max):
+    """p(0..n_max) by Euler's pentagonal-number recurrence."""
+    p = [1]
+    for n in range(1, n_max + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pentagonal <= n:
+                    total += sign * p[n - pentagonal]
+            k += 1
+        p.append(total)
+    return p
+
+
+def test_partitions_of_is_every_partition_once_in_descending_order():
+    counts = _partition_numbers(40)
+    for n in range(41):
+        mus = pt.partitions_of(n)
+        assert len(mus) == counts[n]
+        assert all(a > b for a, b in zip(mus, mus[1:]))
+        for mu in mus:
+            assert sum(mu) == n and all(part > 0 for part in mu)
+            assert all(a >= b for a, b in zip(mu, mu[1:]))
+
+
 def test_partition_enumeration_limit(monkeypatch):
     monkeypatch.delenv("REPST_LIMITS", raising=False)
     with pytest.raises(pt.LimitExceededError):

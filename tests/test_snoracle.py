@@ -28,9 +28,16 @@ def test_hook_dim_conjugation_invariant(mu):
 
 
 def test_hook_dim_non_dividing_hook_product_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(sn, "hook_product", lambda mu: 7)
-    with pytest.raises(pt.InvariantError, match="does not divide 3!"):
+    # every factorial becomes 7: 7 * (3 - 1) is not divisible by 7 * 7
+    monkeypatch.setattr(sn, "factorial", lambda k: 7)
+    with pytest.raises(pt.InvariantError, match="do not divide 3!"):
         sn.hook_dim((2, 1))
+
+
+def test_hook_dim_frobenius_formula_agrees_with_the_hook_length_formula():
+    for n in range(21):
+        for mu in pt.partitions_of(n):
+            assert factorial(n) // pt.hook_product(mu) == sn.hook_dim(mu)
 
 
 def test_class_size_non_dividing_centralizer_is_a_typed_error(monkeypatch):
