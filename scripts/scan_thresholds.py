@@ -8,7 +8,7 @@ smallest N from which no counterexamples appear, together with the
 counterexamples at N - 1.
 
     python scripts/scan_thresholds.py --n-max 20
-    REPST_LIMITS=60 python scripts/scan_thresholds.py --n-max 30
+    python scripts/scan_thresholds.py --n-max 30 --c 1 --k 1
 """
 
 import argparse

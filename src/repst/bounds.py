@@ -123,6 +123,8 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     hooks-with-long-arm-or-leg; nonempty lists are expected at small n since
     the statement is only eventually true.
     """
+    if n < 1:
+        raise SizeMismatchError(f"lemma_scan needs n >= 1, got {n}")
     # hook_dim is an integer, so comparing it with the floor is exact
     threshold = floor(Fraction(c) * Fraction(n) ** k)
     return [mu for mu in partitions_of(n)

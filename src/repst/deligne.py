@@ -180,10 +180,3 @@ def decomposition_to_json(decomp: Decomposition) -> list[dict]:
         {"partition": partitions.format_partition(mu), "mult": mult}
         for mu, mult in sorted(decomp.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     ]
-
-
-def decomposition_from_json(data: list[dict]) -> Decomposition:
-    return {
-        partitions.parse_partition(entry["partition"]): int(entry["mult"])
-        for entry in data
-    }

@@ -329,10 +329,6 @@ class BinomialBasisPolynomial:
                 p = p + binomial_poly(0, j).scale(c)
         return p
 
-    @property
-    def is_integer_valued(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def first_fractional(self):
         """(index, coefficient) of the first non-integer coefficient, or None."""
         for j, c in enumerate(self.coeffs):
@@ -448,10 +444,10 @@ class TruncatedSeries:
     Binary operations intersect the truncation bounds variable by variable:
     a coefficient of the result is only trustworthy where both operands are.
 
-    exp, log and pow_poly are power series sum_k c_k u^k in a series u with
-    constant term 0 (u = self for exp, self - 1 for the other two).  All
-    three run through the one expansion loop _power_series and differ only
-    in u, c_0 and the step c_{k-1} -> c_k.
+    exp and pow_poly are power series sum_k c_k u^k in a series u with
+    constant term 0 (u = self for exp, self - 1 for pow_poly).  Both run
+    through the one expansion loop _power_series and differ only in u, c_0
+    and the step c_{k-1} -> c_k.
     """
 
     __slots__ = ("bounds", "terms")
@@ -511,12 +507,6 @@ class TruncatedSeries:
             merged[exp] = coeff if prev is None else prev + coeff
         return TruncatedSeries(bounds, merged)
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.bounds, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         bounds = self._common_bounds(other)
         out: dict[tuple[int, ...], ExactPolynomial] = {}
@@ -570,13 +560,6 @@ class TruncatedSeries:
             raise BadConstantTermError("exp requires constant term 0")
         return self._power_series(ONE, lambda c, k: c.scale(Fraction(1, k)))
 
-    def log(self) -> "TruncatedSeries":
-        """log of a series with constant term 1."""
-        if self.constant_term() != ONE:
-            raise BadConstantTermError("log requires constant term 1")
-        u = self - TruncatedSeries.constant(self.bounds, 1)
-        return u._power_series(ZERO, lambda c, k: Fraction((-1) ** (k + 1), k))
-
     def pow_poly(self, exponent: ExactPolynomial) -> "TruncatedSeries":
         """h**g(t) for a series h with constant term 1 and polynomial exponent g.
 
@@ -587,7 +570,8 @@ class TruncatedSeries:
         if self.constant_term() != ONE:
             raise BadConstantTermError("pow_poly requires constant term 1")
         exponent = _as_poly(exponent)
-        u = self - TruncatedSeries.constant(self.bounds, 1)
+        # u = h - 1: the constant term is ONE, so drop the zero exponent
+        u = TruncatedSeries(self.bounds, {e: c for e, c in self.terms.items() if any(e)})
         return u._power_series(ONE, lambda c, k: (c * (exponent - (k - 1))).scale(Fraction(1, k)))
 
     def eval_t(self, value: Scalar) -> "TruncatedSeries":

@@ -235,22 +235,10 @@ def pad(lam: Partition, n: int) -> Partition:
 
 
 def b_set(lam: Partition) -> frozenset[int]:
-    """The |lam| nonnegative integers missing from the sequence
-    |lam| - 1 + k - lam*_k (k >= 1)."""
+    """The beta-numbers lam_i + |lam| - i, i = 1..|lam| (lam_i = 0 past the
+    last row); they are distinct because lam_i - i strictly decreases."""
     n = sum(lam)
-    conj = conjugate(lam)
-    width = lam[0] if lam else 0
-    span = n + width + 1
-    excluded = set()
-    for k in range(1, span + 1):
-        col = conj[k - 1] if k <= len(conj) else 0
-        value = n - 1 + k - col
-        if 0 <= value < span:
-            excluded.add(value)
-    members = [x for x in range(span) if x not in excluded][:n]
-    if len(members) != n:
-        raise InvariantError(f"b_set of {lam} has {len(members)} members, not {n}")
-    return frozenset(members)
+    return frozenset((lam[i] if i < len(lam) else 0) + n - 1 - i for i in range(n))
 
 
 @lru_cache(maxsize=None)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import deligne
 from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries
-from .partitions import (InvariantError, Partition, cells, format_partition, hook_product,
-                         partitions_of)
+from .partitions import (InvariantError, Partition, cells, check_size_cap, format_partition,
+                         hook_product, partitions_of)
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class UnitalHilbert:
 def tensor_power_hilbert(h: UnitalHilbert, degree: int) -> TruncatedSeries:
     """h(x)^t, truncated at the given degree; at t = n this is the n-fold
     product of h with itself."""
+    check_size_cap("degree", degree)
     base = TruncatedSeries((degree,), {
         (k,): c for k, c in enumerate(h.coefficients) if k <= degree
     })
@@ -72,15 +74,6 @@ class GradedCheckReport:
     degree: int
     passed: bool
     first_failure: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "check": "graded-decomposition",
-            "d": self.bar_dim,
-            "D": self.degree,
-            "pass": self.passed,
-            "firstFailure": self.first_failure,
-        }
 
 
 def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
@@ -184,25 +177,14 @@ def interlacing_branch(lam: Partition, space_dim: int, size_bound: int) -> list[
     the Levi subgroup: mu/lam runs over horizontal strips.
     """
     VermaWeight(lam, space_dim)  # checks N >= 1 and len(lam) <= N - 1
-    if size_bound < 0:
-        raise ValueError(f"size_bound must be nonnegative, got {size_bound}")
-    results: list[Partition] = []
-    max_rows = space_dim - 1
-
-    def build(row: int, prefix: list[int], used: int):
-        if row > max_rows:
-            results.append(tuple(p for p in prefix if p > 0))
-            return
-        low = lam[row - 1] if row <= len(lam) else 0
-        budget = size_bound - used - sum(lam[row:])
-        if row == 1:
-            high = budget
-        else:
-            high = min(lam[row - 2] if row - 1 <= len(lam) else 0, budget)
-        for value in range(low, high + 1):
-            prefix.append(value)
-            build(row + 1, prefix, used + value)
-            prefix.pop()
-
-    build(1, [], 0)
-    return sorted(set(results), key=lambda mu: (sum(mu), mu))
+    check_size_cap("size_bound", size_bound)
+    # row i of mu lies in [lam_i, lam_{i-1}]: rows past len(lam) + 1 are 0,
+    # and zeros only trail, so stripping them keeps every mu distinct
+    low = (lam + (0,))[:space_dim - 1]
+    if not low:
+        return [()]
+    rests = product(*(range(lo, hi + 1) for lo, hi in zip(low[1:], low)))
+    mus = [tuple(p for p in (first,) + rest if p)
+           for rest in rests
+           for first in range(low[0], size_bound - sum(rest) + 1)]
+    return sorted(mus, key=lambda mu: (sum(mu), mu))

@@ -3,8 +3,9 @@ classical oracle, every polynomial identity at its full documented range.
 
 Each suite returns a SuiteReport listing the individual comparisons that
 failed (none, on a correct build).  The CLI exposes these under
-`repst verify --suite ...` through run_suites, which times them; the
-acceptance tests drive them directly.
+`repst verify --suite ...` through run_suites, which times them;
+acceptance criterion 11 runs the oracle suite against a deliberately
+flipped content sign.
 """
 
 from __future__ import annotations

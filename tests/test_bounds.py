@@ -83,6 +83,12 @@ def test_lemma_scan_trivial_cases():
         assert bd.lemma_scan(Fraction(1), 0, n) == []
 
 
+def test_lemma_scan_needs_a_positive_n():
+    for n in (0, -3):
+        with pytest.raises(sn.SizeMismatchError, match=f"got {n}"):
+            bd.lemma_scan(Fraction(1), 1, n)
+
+
 def test_lemma_scan_k1_window():
     for n in range(10, 16):
         assert bd.lemma_scan(Fraction(1), 1, n) == []

@@ -59,7 +59,6 @@ def test_pieri_empty(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["terms"] == [{"partition": "1", "mult": 1}]
-    assert deligne.decomposition_from_json(data["terms"]) == {(1,): 1}
 
 
 def test_omega_m_matches_jm(capsys):
@@ -168,6 +167,18 @@ def test_verify_size_cap_beyond_the_enumeration_limit_fails_fast():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == ("error: max_size=50 exceeds the enumeration cap 40; "
+                             "raise REPST_LIMITS to allow it\n")
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["hilbert", "--h", "1,1", "--deg", "100000000"], "degree=100000000"),
+    (["branch", "--lambda", "1", "--N", "3", "--max-size", "100000000"], "size_bound=100000000"),
+])
+def test_hilbert_and_branch_caps_beyond_the_enumeration_limit_fail_fast(argv, cap):
+    result = run_cli_process(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"error: {cap} exceeds the enumeration cap 40; "
                              "raise REPST_LIMITS to allow it\n")
 
 

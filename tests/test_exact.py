@@ -1,7 +1,7 @@
 import hashlib
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,9 +91,9 @@ def test_integer_binomial_combinations_are_integer_valued(coeffs):
 def test_integer_valued_detection():
     half_t = T.scale(Fraction(1, 2))
     b = to_binomial_basis(half_t)
-    assert not b.is_integer_valued
     index, value = b.first_fractional()
     assert index == 1 and value == Fraction(1, 2)
+    assert to_binomial_basis(T * (T - 1)).first_fractional() is None
 
 
 @given(p=polynomials)
@@ -351,26 +351,36 @@ def test_pow_poly_specializes_to_repeated_product(c1, c2, n):
     assert power.eval_t(n) == product
 
 
-def test_exp_log_preconditions():
+def test_exp_and_pow_poly_preconditions():
     with pytest.raises(BadConstantTermError):
         TruncatedSeries((2,), {(0,): 1}).exp()
     with pytest.raises(BadConstantTermError):
-        TruncatedSeries((2,), {(1,): 1}).log()
-    with pytest.raises(BadConstantTermError):
         TruncatedSeries((2,), {(0,): 2}).pow_poly(T)
-    assert TruncatedSeries.constant((3,), 1).log() == TruncatedSeries((3,))
+    with pytest.raises(BadConstantTermError):
+        TruncatedSeries((2,), {(1,): 1}).pow_poly(T)
     assert TruncatedSeries((3,)).exp() == TruncatedSeries.constant((3,), 1)
+    assert TruncatedSeries.constant((3,), 1).pow_poly(T) == TruncatedSeries.constant((3,), 1)
+
+
+@given(a1=fractions, a2=fractions, b1=fractions, b2=fractions)
+def test_exp_of_a_sum_is_the_product_of_exps(a1, a2, b1, b2):
+    a = TruncatedSeries((4,), {(1,): a1, (2,): a2})
+    b = TruncatedSeries((4,), {(1,): b1, (2,): T.scale(b2)})
+    assert (a + b).exp() == a.exp() * b.exp()
 
 
 @given(c1=fractions, c2=fractions)
-def test_exp_log_inverse(c1, c2):
-    s = TruncatedSeries((4,), {(1,): c1, (2,): c2})
-    one = TruncatedSeries.constant((4,), 1)
-    assert (one + s).log().exp() == one + s
-    assert s.exp().log() == s
+def test_exp_matches_its_explicit_series(c1, c2):
+    a = TruncatedSeries((2, 3), {(1, 0): c1, (0, 1): T.scale(c2), (1, 1): 1})
+    expected = TruncatedSeries.constant(a.bounds, 0)
+    for k in range(sum(a.bounds) + 1):
+        expected = expected + (a ** k).scale(Fraction(1, factorial(k)))
+    assert a.exp() == expected
 
 
-def test_pow_poly_agrees_with_exp_log():
+def test_pow_poly_is_a_homomorphism_in_the_exponent():
     h = TruncatedSeries((3, 2), {(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): -1})
-    g = T * T - 3
-    assert h.pow_poly(g) == h.log().scale(g).exp()
+    g1, g2 = T * T - 3, T.scale(Fraction(1, 2)) + 5
+    assert h.pow_poly(g1 + g2) == h.pow_poly(g1) * h.pow_poly(g2)
+    for n in range(6):
+        assert h.pow_poly(ExactPolynomial.constant(n)) == h ** n

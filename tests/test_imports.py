@@ -1,8 +1,11 @@
 """The oracle stays independent: checked on the import statements in the
 source, so an import inside a function counts as well.  Invariants are
-checked with typed exceptions, never with assert, which python -O strips."""
+checked with typed exceptions, never with assert, which python -O strips.
+Every name the benchmark traces or reads a cache from still exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,38 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _benchmark_layers():
+    """perfbench/layers.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+def _resolve(module: str, dotted: str):
+    value = importlib.import_module(module)
+    for name in dotted.split("."):
+        value = getattr(value, name, None)
+    return value
+
+
+def test_every_benchmark_target_resolves():
+    missing = [span for span, module, attribute in _benchmark_layers().TARGETS
+               if _resolve(module, attribute) is None]
+    assert missing == []
+
+
+def test_every_benchmark_cache_is_a_functools_cache():
+    layers = _benchmark_layers()
+    names = set(layers.KNOWN_CACHES) | set(layers.CACHE_OF.values())
+    not_cached = []
+    for name in sorted(names):
+        module, attribute = name.split(".", 1)
+        fn = _resolve(f"repst.{module}", attribute)
+        if not (callable(getattr(fn, "cache_info", None))
+                and callable(getattr(fn, "cache_clear", None))):
+            not_cached.append(name)
+    assert not_cached == []

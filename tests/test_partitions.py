@@ -146,20 +146,17 @@ def test_b_set_size(lam):
     assert len(pt.b_set(lam)) == sum(lam)
 
 
-@given(lam=partition_strategy(max_n=10))
-def test_b_set_closed_form(lam):
-    # complement-of-increasing-sequence description agrees with the
-    # beta-number description lam_i + |lam| - i
-    n = sum(lam)
-    direct = {(lam[i] if i < len(lam) else 0) + n - (i + 1) for i in range(n)}
-    assert pt.b_set(lam) == direct
-
-
-def test_b_set_size_failure_is_a_typed_error(monkeypatch):
-    # every column as tall as |lam| excludes every candidate value
-    monkeypatch.setattr(pt, "conjugate", lambda lam: (sum(lam),) * (2 * sum(lam) + 2))
-    with pytest.raises(pt.InvariantError, match="b_set"):
-        pt.b_set((2, 1))
+def test_b_set_closed_form():
+    # the beta-numbers lam_i + |lam| - i are the first |lam| nonnegative
+    # integers missing from the increasing sequence |lam| - 1 + k - lam*_k
+    for lam in pt.partitions_up_to(16):
+        n = sum(lam)
+        conj = pt.conjugate(lam)
+        span = n + (lam[0] if lam else 0) + 1
+        excluded = {n - 1 + k - (conj[k - 1] if k <= len(conj) else 0)
+                    for k in range(1, span + 1)}
+        complement = [x for x in range(span) if x not in excluded][:n]
+        assert pt.b_set(lam) == frozenset(complement), lam
 
 
 def test_partition_enumeration_counts():

@@ -80,10 +80,6 @@ def test_graded_decomposition_passes(d):
     report = sw.graded_decomposition_check(d, 6)
     assert report.passed
     assert report.first_failure is None
-    assert report.to_json() == {
-        "check": "graded-decomposition", "d": d, "D": 6,
-        "pass": True, "firstFailure": None,
-    }
 
 
 def test_graded_decomposition_reports_the_first_broken_degree(monkeypatch):
@@ -163,6 +159,32 @@ def test_interlacing_branch_known_values():
     assert sw.interlacing_branch((), 2, 3) == [(), (1,), (2,), (3,)]
     assert sorted(sw.interlacing_branch((1,), 3, 2)) == [(1,), (1, 1), (2,)]
     assert sorted(sw.interlacing_branch((1,), 2, 2)) == [(1,), (2,)]
+
+
+def test_interlacing_branch_matches_a_brute_force_filter():
+    # every mu of size <= size_bound with at most N - 1 rows that interlaces
+    # lam, in the order (|mu|, mu)
+    def interlaces(mu, lam):
+        rows = max(len(mu), len(lam)) + 1
+        mu, lam = mu + (0,) * (rows - len(mu)), lam + (0,) * (rows - len(lam))
+        return all(mu[i] >= lam[i] >= mu[i + 1] for i in range(rows - 1))
+
+    candidates = list(pt.partitions_up_to(11))
+    for space_dim in range(1, 7):
+        for lam in pt.partitions_up_to(7):
+            if len(lam) > space_dim - 1:
+                continue
+            for size_bound in range(12):
+                expected = sorted((mu for mu in candidates
+                                   if sum(mu) <= size_bound and len(mu) <= space_dim - 1
+                                   and interlaces(mu, lam)),
+                                  key=lambda mu: (sum(mu), mu))
+                assert sw.interlacing_branch(lam, space_dim, size_bound) == expected
+
+
+def test_interlacing_branch_with_a_large_space_dim():
+    # rows past len(lam) + 1 are 0, so N only caps the row count
+    assert sw.interlacing_branch((1,), 2000, 3) == [(1,), (1, 1), (2,), (2, 1), (3,)]
 
 
 @given(lam=partition_strategy(max_n=5), extra=st.integers(0, 3))
