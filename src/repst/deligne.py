@@ -87,12 +87,8 @@ def class_size_poly(rho: CycleType) -> ExactPolynomial:
 
 def _power_sum(bounds: tuple[int, ...], r: int) -> TruncatedSeries:
     """p_r = sum_i x_i^r after the substitution x_i = u_1 ... u_i."""
-    nvars = len(bounds)
-    terms = {}
-    for i in range(1, nvars + 1):
-        exp = (r,) * i + (0,) * (nvars - i)
-        terms[exp] = 1
-    return TruncatedSeries(bounds, terms)
+    n = len(bounds)
+    return TruncatedSeries(bounds, {(r,) * i + (0,) * (n - i): 1 for i in range(1, n + 1)})
 
 
 def _interval_factor(bounds: tuple[int, ...], lo: int, hi: int) -> TruncatedSeries:
@@ -140,12 +136,11 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
             cycle_factor = TruncatedSeries.constant(bounds, 1) + _power_sum(bounds, i + 2)
             power_block = power_block * cycle_factor ** count
 
-    # "alternating block": prod (1 - x_i) prod_{i>j} (1 - x_i/x_j)
+    # "alternating block": prod (1 - x_i) prod_{i>j} (1 - x_i/x_j), one
+    # factor 1 - u_lo ... u_hi per interval 1 <= lo <= hi <= variables
     alternating = TruncatedSeries.constant(bounds, 1)
-    for i in range(1, variables + 1):
-        alternating = alternating * _interval_factor(bounds, 1, i)
-        for j in range(1, i):
-            alternating = alternating * _interval_factor(bounds, j + 1, i)
+    for lo, hi in ((lo, hi) for hi in range(1, variables + 1) for lo in range(1, hi + 1)):
+        alternating = alternating * _interval_factor(bounds, lo, hi)
 
     return convolve_coefficient(power_block, alternating, bounds)
 

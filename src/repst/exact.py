@@ -15,15 +15,16 @@ Representations:
   BinomialBasisPolynomial  dense tuple of Fractions, index j = coefficient
                            of binom(t, j); integer coefficients certify an
                            integer-valued polynomial
-  TruncatedSeries          sparse dict mapping exponent tuples to
-                           ExactPolynomial, truncated per variable
+  TruncatedSeries          sparse dict mapping exponent tuples to nonzero
+                           ExactPolynomial, truncated per variable; the
+                           operands of one operation share their bounds
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add
+from operator import add, index, le, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -441,8 +442,8 @@ class TruncatedSeries:
     truncation means); *querying* such a coefficient raises OutOfBoundsError
     because the stored data says nothing about it.
 
-    Binary operations intersect the truncation bounds variable by variable:
-    a coefficient of the result is only trustworthy where both operands are.
+    Operands of +, * and convolve_coefficient must have equal bounds (else
+    ValueError).  Only the constructor validates; operators build via _series.
 
     exp and pow_poly are power series sum_k c_k u^k in a series u with
     constant term 0 (u = self for exp, self - 1 for pow_poly).  Both run
@@ -452,85 +453,74 @@ class TruncatedSeries:
 
     __slots__ = ("bounds", "terms")
 
-    def __init__(self, bounds: Sequence[int], terms: Mapping[tuple[int, ...], object] = ()):
-        bounds = tuple(int(b) for b in bounds)
+    def __new__(cls, bounds: Sequence[int], terms: Mapping[tuple[int, ...], object] = ()):
+        bounds = tuple(map(index, bounds))
         if any(b < 0 for b in bounds):
             raise ValueError("truncation bounds must be nonnegative")
         clean: dict[tuple[int, ...], ExactPolynomial] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(index, exp))
             if len(exp) != len(bounds):
                 raise ValueError("exponent length does not match variable count")
             if any(e < 0 for e in exp):
                 raise ValueError("negative exponent in truncated series")
-            if any(e > b for e, b in zip(exp, bounds)):
-                continue
             poly = _as_poly(coeff)
-            if not poly.is_zero:
+            if all(map(le, exp, bounds)):
                 clean[exp] = poly
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "terms", clean)
+        return _series(bounds, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.bounds)
 
     @classmethod
     def constant(cls, bounds: Sequence[int], value) -> "TruncatedSeries":
         return cls(bounds, {(0,) * len(bounds): value})
 
-    def coefficient(self, exponent: Sequence[int]) -> ExactPolynomial:
-        exp = tuple(int(e) for e in exponent)
-        if len(exp) != self.nvars:
-            raise OutOfBoundsError(f"exponent {exp} has wrong arity for {self.nvars} variables")
+    def _index(self, exponent: Sequence[int]) -> tuple[int, ...]:
+        """exponent as a key of terms; OutOfBoundsError where bounds say nothing."""
+        exp = tuple(map(index, exponent))
+        if len(exp) != len(self.bounds):
+            raise OutOfBoundsError(f"exponent {exp} has wrong arity for bounds {self.bounds}")
         if any(e < 0 or e > b for e, b in zip(exp, self.bounds)):
             raise OutOfBoundsError(f"exponent {exp} outside truncation bounds {self.bounds}")
-        return self.terms.get(exp, ZERO)
+        return exp
 
-    def constant_term(self) -> ExactPolynomial:
-        return self.terms.get((0,) * self.nvars, ZERO)
-
-    def _common_bounds(self, other: "TruncatedSeries") -> tuple[int, ...]:
-        if self.nvars != other.nvars:
-            raise ValueError("series have different variable counts")
-        return tuple(min(a, b) for a, b in zip(self.bounds, other.bounds))
+    def coefficient(self, exponent: Sequence[int]) -> ExactPolynomial:
+        return self.terms.get(self._index(exponent), ZERO)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        bounds = self._common_bounds(other)
+        bounds = _same_bounds(self, other)
         merged = dict(self.terms)
         for exp, coeff in other.terms.items():
             prev = merged.get(exp)
             merged[exp] = coeff if prev is None else prev + coeff
-        return TruncatedSeries(bounds, merged)
+        return _series(bounds, merged)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        bounds = self._common_bounds(other)
+        bounds = _same_bounds(self, other)
         out: dict[tuple[int, ...], ExactPolynomial] = {}
         small, large = (self.terms, other.terms)
         if len(small) > len(large):
             small, large = large, small
         for ea, ca in small.items():
+            room = tuple(map(sub, bounds, ea))
             for eb, cb in large.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                if any(e > b for e, b in zip(exp, bounds)):
-                    continue
-                prod = ca * cb
-                prev = out.get(exp)
-                out[exp] = prod if prev is None else prev + prod
-        return TruncatedSeries(bounds, out)
+                if all(map(le, eb, room)):
+                    exp = tuple(map(add, ea, eb))
+                    prod = ca * cb
+                    prev = out.get(exp)
+                    out[exp] = prod if prev is None else prev + prod
+        return _series(bounds, out)
 
     def scale(self, value) -> "TruncatedSeries":
         poly = _as_poly(value)
-        return TruncatedSeries(self.bounds, {e: c * poly for e, c in self.terms.items()})
+        return _series(self.bounds, {e: c * poly for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("negative series power")
-        result = TruncatedSeries.constant(self.bounds, 1)
+        result = _series(self.bounds, {(0,) * len(self.bounds): ONE})
         base = self
         while n:
             if n & 1:
@@ -543,8 +533,8 @@ class TruncatedSeries:
         """sum_k c_k self^k with c_0 = first and c_k = step(c_{k-1}, k), for a
         series with constant term 0: the sum stops at the first power that
         truncation kills, self^(sum(bounds) + 1) at the latest."""
-        result = TruncatedSeries.constant(self.bounds, first)
-        power = TruncatedSeries.constant(self.bounds, 1)
+        result = _series(self.bounds, {(0,) * len(self.bounds): first})
+        power = _series(self.bounds, {(0,) * len(self.bounds): ONE})
         c = first
         for k in range(1, sum(self.bounds) + 1):
             power = power * self
@@ -556,7 +546,7 @@ class TruncatedSeries:
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term (finite sum under truncation)."""
-        if not self.constant_term().is_zero:
+        if (0,) * len(self.bounds) in self.terms:
             raise BadConstantTermError("exp requires constant term 0")
         return self._power_series(ONE, lambda c, k: c.scale(Fraction(1, k)))
 
@@ -567,16 +557,16 @@ class TruncatedSeries:
         sum_d binom(g, d) (h - 1)^d, which terminates under truncation and
         agrees with exp(g * log h) as a formal identity.
         """
-        if self.constant_term() != ONE:
+        if self.terms.get((0,) * len(self.bounds)) != ONE:
             raise BadConstantTermError("pow_poly requires constant term 1")
         exponent = _as_poly(exponent)
         # u = h - 1: the constant term is ONE, so drop the zero exponent
-        u = TruncatedSeries(self.bounds, {e: c for e, c in self.terms.items() if any(e)})
+        u = _series(self.bounds, {e: c for e, c in self.terms.items() if any(e)})
         return u._power_series(ONE, lambda c, k: (c * (exponent - (k - 1))).scale(Fraction(1, k)))
 
     def eval_t(self, value: Scalar) -> "TruncatedSeries":
         """Specialize every polynomial coefficient at t = value."""
-        return TruncatedSeries(self.bounds, {e: c(value) for e, c in self.terms.items()})
+        return _series(self.bounds, {e: _as_poly(c(value)) for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -588,6 +578,22 @@ class TruncatedSeries:
         return f"TruncatedSeries(bounds={self.bounds}, {{{items}}})"
 
 
+def _series(bounds: tuple[int, ...], terms: dict) -> TruncatedSeries:
+    """The series with these bounds and terms, unchecked: every exponent must
+    be a tuple of ints within bounds and every coefficient an ExactPolynomial.
+    Zero coefficients are dropped here, and only here."""
+    s = object.__new__(TruncatedSeries)
+    object.__setattr__(s, "bounds", bounds)
+    object.__setattr__(s, "terms", {e: c for e, c in terms.items() if c.nums})
+    return s
+
+
+def _same_bounds(a: TruncatedSeries, b: TruncatedSeries) -> tuple[int, ...]:
+    if a.bounds != b.bounds:
+        raise ValueError(f"series bounds differ: {a.bounds} and {b.bounds}")
+    return a.bounds
+
+
 def convolve_coefficient(a: TruncatedSeries, b: TruncatedSeries,
                          target: Sequence[int]) -> ExactPolynomial:
     """Coefficient of the given exponent in a*b, without forming the product.
@@ -596,19 +602,13 @@ def convolve_coefficient(a: TruncatedSeries, b: TruncatedSeries,
     the other; much cheaper than a full multiplication when only one
     coefficient is wanted.
     """
-    target = tuple(int(e) for e in target)
-    if a.nvars != b.nvars or len(target) != a.nvars:
-        raise ValueError("variable counts do not match")
-    bounds = tuple(min(x, y) for x, y in zip(a.bounds, b.bounds))
-    if any(e < 0 or e > bd for e, bd in zip(target, bounds)):
-        raise OutOfBoundsError(f"target {target} outside truncation bounds {bounds}")
+    _same_bounds(a, b)
+    target = a._index(target)
     outer, inner = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
     total = ZERO
     for exp, coeff in outer.terms.items():
-        rest = tuple(t - e for t, e in zip(target, exp))
-        if any(r < 0 for r in rest):
-            continue
-        match = inner.terms.get(rest)
-        if match is not None:
-            total = total + coeff * match
+        if all(map(le, exp, target)):
+            match = inner.terms.get(tuple(map(sub, target, exp)))
+            if match is not None:
+                total = total + coeff * match
     return total

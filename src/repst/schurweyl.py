@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from . import deligne
 from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries
@@ -48,6 +49,14 @@ def tensor_power_hilbert(h: UnitalHilbert, degree: int) -> TruncatedSeries:
         (k,): c for k, c in enumerate(h.coefficients) if k <= degree
     })
     return base.pow_poly(T)
+
+
+def symmetric_algebra_hilbert(d: int, degree: int) -> TruncatedSeries:
+    """(1 - x)^{-d}, the Hilbert series of a polynomial ring in d variables,
+    truncated at the given degree: x^j has coefficient binom(d + j - 1, j),
+    which is 1 at j = 0 and, when d = 0, zero at every j > 0."""
+    return TruncatedSeries((degree,), {(j,): comb(d + j - 1, j) if j else 1
+                                       for j in range(degree + 1)})
 
 
 def schur_dimension(lam: Partition, d: int) -> int:
@@ -87,9 +96,7 @@ def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
     associated graded, summed over the Schur-functor decomposition.
     """
     lhs = tensor_power_hilbert(UnitalHilbert.ungraded(d), degree)
-    # (1 - x)^{-d}, truncated: coefficients binom(d + j - 1, j)
-    sym = TruncatedSeries((degree,), {(0,): 1, (1,): -1}).pow_poly(
-        ExactPolynomial.constant(-d))
+    sym = symmetric_algebra_hilbert(d, degree)
     layers = {}
     for size in range(degree + 1):
         total = ExactPolynomial()
@@ -138,20 +145,16 @@ def verma_candidates(weight: VermaWeight, t_max: int) -> list[tuple[int, int, in
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    lam = weight.lam
-    size = sum(lam)
+    size = sum(weight.lam)
+    padded = weight.lam + (0,)
     found = []
-    for i in range(1, weight.space_dim):
-        lam_i = lam[i - 1] if i <= len(lam) else 0
-        if i == 1:
-            m_cap = t_max - size - lam_i + i
-        else:
-            lam_prev = lam[i - 2] if i - 1 <= len(lam) else 0
-            m_cap = min(lam_prev - lam_i, t_max - size - lam_i + i)
-        for m in range(1, m_cap + 1):
-            t = size + lam_i + m - i
-            if 0 <= t <= t_max:
-                found.append((t, i, m))
+    # rows past len(lam) + 1 have m_cap = 0; m >= 1 and m_cap keep t in [0, t_max]
+    for i in range(1, min(weight.space_dim, len(padded) + 1)):
+        lam_i = padded[i - 1]
+        m_cap = t_max - size - lam_i + i
+        if i > 1:
+            m_cap = min(padded[i - 2] - lam_i, m_cap)
+        found.extend((size + lam_i + m - i, i, m) for m in range(1, m_cap + 1))
     return sorted(found)
 
 

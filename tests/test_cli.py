@@ -91,6 +91,20 @@ def test_verma_command(capsys):
     assert json.loads(out)["t"] == [0, 2, 3, 4, 5]
 
 
+def test_verma_with_a_huge_space_dim_finishes():
+    """Rows past len(lambda) + 1 add no candidate, so N = 10^9 answers like
+    N = 3 for lambda = (1); a scan over every row would hit the timeout."""
+    for json_flag in ([], ["--json"]):
+        huge = run_cli_process("verma", "--lambda", "1", "--N", "1000000000", "--t-max", "10",
+                               *json_flag)
+        small = run_cli_process("verma", "--lambda", "1", "--N", "3", "--t-max", "10", *json_flag)
+        assert huge.returncode == small.returncode == 0
+        if json_flag:
+            assert json.loads(huge.stdout) == dict(json.loads(small.stdout), N=1000000000)
+        else:
+            assert huge.stdout == small.stdout.replace("N = 3,", "N = 1000000000,")
+
+
 def test_branch_command(capsys):
     code, out, _ = run_cli(capsys, "branch", "--lambda", "1", "--N", "3", "--max-size", "2", "--json")
     assert code == 0

@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd
+from operator import add, mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -294,13 +295,69 @@ def test_series_truncation_drops_high_terms():
     assert (1,) in s.terms and (2,) not in s.terms
 
 
-def test_binary_ops_intersect_bounds():
+def test_binary_ops_need_equal_bounds():
     a = TruncatedSeries((3,), {(0,): 1, (3,): 1})
-    b = TruncatedSeries((2,), {(0,): 1})
-    assert (a + b).bounds == (2,)
-    assert (a * b).bounds == (2,)
-    with pytest.raises(OutOfBoundsError):
-        (a * b).coefficient((3,))
+    for b in (TruncatedSeries((2,), {(0,): 1}), TruncatedSeries.constant((3, 0), 1)):
+        for combine in (add, mul, lambda x, y: convolve_coefficient(x, y, (0,))):
+            with pytest.raises(ValueError, match="series bounds differ"):
+                combine(a, b)
+            with pytest.raises(ValueError, match="series bounds differ"):
+                combine(b, a)
+
+
+def test_series_constructor_validates_its_input():
+    with pytest.raises(ValueError, match="nonnegative"):
+        TruncatedSeries((2, -1))
+    with pytest.raises(ValueError, match="exponent length"):
+        TruncatedSeries((2, 1), {(1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        TruncatedSeries((2,), {(-1,): 1})
+    for bounds, terms in (((2.0,), {}), ((2,), {(1.0,): 1}), ((2,), {(1,): 0.5}),
+                          ((2,), {(5,): 0.5})):
+        with pytest.raises(TypeError, match="float"):
+            TruncatedSeries(bounds, terms)
+    assert TruncatedSeries((2,), [((0,), 1), ((1,), 0), ((3,), 4)]).terms == {(0,): ONE}
+
+
+def test_operator_results_skip_the_validating_constructor(monkeypatch):
+    a = TruncatedSeries((2, 1), {(1, 0): 1, (0, 1): T})
+    one_plus_a = TruncatedSeries.constant((2, 1), 1) + a
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("an operator re-validated its result")
+    monkeypatch.setattr(TruncatedSeries, "__new__", staticmethod(refuse))
+    results = [a + a, a * a, a ** 3, a.scale(T), a.exp(), one_plus_a.pow_poly(T), a.eval_t(2)]
+    assert all(type(r) is TruncatedSeries for r in results)
+    assert convolve_coefficient(a, one_plus_a, (1, 1)) == T.scale(2)
+
+
+def series_dicts(nvars):
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
+
+
+@given(data=st.data(), nvars=st.integers(1, 3))
+def test_sum_and_product_match_brute_force_dicts(data, nvars):
+    bounds = tuple(data.draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)))
+    a, b = data.draw(series_dicts(nvars)), data.draw(series_dicts(nvars))
+    in_bounds = lambda e: all(x <= y for x, y in zip(e, bounds))
+    expected_sum, expected_product = {}, {}
+    for ea, ca in a.items():
+        if in_bounds(ea):
+            expected_sum[ea] = expected_sum.get(ea, 0) + ca
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if in_bounds(eb) and in_bounds(e):
+                    expected_product[e] = expected_product.get(e, 0) + ca * cb
+    for eb, cb in b.items():
+        if in_bounds(eb):
+            expected_sum[eb] = expected_sum.get(eb, 0) + cb
+    sa, sb = TruncatedSeries(bounds, a), TruncatedSeries(bounds, b)
+    for result, expected in ((sa + sb, expected_sum), (sa * sb, expected_product)):
+        assert result.bounds == bounds
+        assert all(not c.is_zero for c in result.terms.values())
+        assert all(in_bounds(e) for e in result.terms)
+        assert result.terms == {e: ExactPolynomial.constant(c) for e, c in expected.items() if c}
 
 
 @given(

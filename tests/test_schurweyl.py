@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repst import schurweyl as sw, snoracle as sn, partitions as pt
-from repst.exact import BadConstantTermError, T, TruncatedSeries, binomial_poly
+from repst.exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries, binomial_poly
 from conftest import partition_strategy
 
 
@@ -75,7 +75,21 @@ def test_schur_dimension_row_cutoff(lam, d):
     assert dim >= 0
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+def test_symmetric_algebra_hilbert_closed_form():
+    pinned = {
+        0: [1] + [0] * 12,
+        1: [1] * 13,
+        2: list(range(1, 14)),
+        3: [1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, 78, 91],
+    }
+    one_minus_x = TruncatedSeries((12,), {(0,): 1, (1,): -1})
+    for d, coeffs in pinned.items():
+        series = sw.symmetric_algebra_hilbert(d, 12)
+        assert [series.coefficient((j,)) for j in range(13)] == coeffs
+        assert series == one_minus_x.pow_poly(ExactPolynomial.constant(-d))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_graded_decomposition_passes(d):
     report = sw.graded_decomposition_check(d, 6)
     assert report.passed
@@ -144,6 +158,25 @@ def test_verma_witnesses_satisfy_their_constraints(lam):
         if i > 1:
             lam_prev = lam[i - 2] if i - 1 <= len(lam) else 0
             assert lam_prev >= lam_i + m
+
+
+def scan_every_row(lam, space_dim, t_max):
+    """verma_candidates as a scan over every row 1..N-1 with a filter on t."""
+    found = []
+    for i in range(1, space_dim):
+        lam_i = lam[i - 1] if i <= len(lam) else 0
+        lam_prev = lam[i - 2] if 2 <= i <= len(lam) + 1 else 0
+        for m in range(1, t_max + i + 1):
+            t = sum(lam) + lam_i + m - i
+            if (i == 1 or lam_prev >= lam_i + m) and 0 <= t <= t_max:
+                found.append((t, i, m))
+    return sorted(found)
+
+
+@given(lam=partition_strategy(max_n=6), extra=st.integers(1, 4), t_max=st.integers(0, 14))
+def test_verma_candidates_match_a_scan_over_every_row(lam, extra, t_max):
+    weight = sw.VermaWeight(lam, len(lam) + extra)
+    assert sw.verma_candidates(weight, t_max) == scan_every_row(lam, len(lam) + extra, t_max)
 
 
 def test_irreducible_guaranteed():
