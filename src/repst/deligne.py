@@ -5,6 +5,8 @@ integer t = n, to the corresponding classical number for the padded
 partition (n - |lam|, lam_1, lam_2, ...).  The snoracle module computes
 those classical numbers independently; agreement of the two routes is the
 correctness contract, enforced by the verification suites.
+Products of linear factors t - r (dimensions, class sizes, the Jucys-Murphy
+quadratic) all go through exact.linear_product.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from .exact import (
     ONE,
     T,
     TruncatedSeries,
+    binomial_poly,
     convolve_coefficient,
     falling_factorial_poly,
+    linear_product,
     to_binomial_basis,
 )
 from .partitions import CycleType, Partition, check_cycle_type, support
@@ -34,18 +38,8 @@ Decomposition = dict[Partition, int]
 def dimension_poly(lam: Partition) -> ExactPolynomial:
     """Dimension of the indecomposable object labeled by lam, as a degree-|lam|
     polynomial in the rank t: prod(t - b) over the b-set of lam, divided by
-    the hook product of lam.
-
-    The numerator is expanded in integer coefficients and divided once.
-    """
-    numerator = [1]
-    for b in partitions.b_set(lam):
-        # multiply by (t - b) in place: c_k <- c_{k-1} - b * c_k
-        numerator.insert(0, 0)
-        for k in range(len(numerator) - 1):
-            numerator[k] -= b * numerator[k + 1]
-    hooks = partitions.hook_product(lam)
-    return ExactPolynomial(Fraction(c, hooks) for c in numerator)
+    the hook product of lam."""
+    return linear_product(partitions.b_set(lam), partitions.hook_product(lam))
 
 
 def pieri(lam: Partition) -> Decomposition:
@@ -65,13 +59,11 @@ def jm_eigenvalue(lam: Partition) -> ExactPolynomial:
     """Eigenvalue of the interpolated sum-of-transpositions (Jucys-Murphy)
     central element on X_lam:
 
-        ct(lam) - |lam| + (t - |lam|)(t - |lam| - 1)/2
+        ct(lam) - |lam| + binom(t - |lam|, 2)
 
     which at t = n is the content sum of the padded partition."""
     n = sum(lam)
-    shifted = T - n
-    quadratic = (shifted * (shifted - 1)).scale(Fraction(1, 2))
-    return quadratic + (partitions.content_sum(lam) - n)
+    return binomial_poly(-n, 2) + (partitions.content_sum(lam) - n)
 
 
 def class_size_poly(rho: CycleType) -> ExactPolynomial:

@@ -286,22 +286,29 @@ def format_terms(coeffs: Sequence[Fraction], basis_name) -> str:
     return text
 
 
+def linear_product(roots: Iterable[int], den: int = 1) -> ExactPolynomial:
+    """prod (t - r) over the integer roots, divided by the positive int den;
+    the numerator is expanded in place in integers and reduced once."""
+    if index(den) < 1:
+        raise ValueError(f"den must be positive, got {den}")
+    nums = [1]
+    for r in map(index, roots):
+        nums.insert(0, 0)  # times (t - r): c_k <- c_{k-1} - r * c_k
+        for k in range(len(nums) - 1):
+            nums[k] -= r * nums[k + 1]
+    return _make(nums, den)
+
+
 def binomial_poly(shift: int, k: int) -> ExactPolynomial:
     """The polynomial binom(t + shift, k) = prod_{j<k} (t + shift - j) / k!."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    p = ONE
-    for j in range(k):
-        p = p * ExactPolynomial((shift - j, 1))
-    return p.scale(Fraction(1, factorial(k)))
+    return linear_product(range(-shift, k - shift), factorial(k))
 
 
 def falling_factorial_poly(m: int) -> ExactPolynomial:
     """t (t-1) ... (t-m+1)."""
-    p = ONE
-    for j in range(m):
-        p = p * ExactPolynomial((-j, 1))
-    return p
+    return linear_product(range(m))
 
 
 class BinomialBasisPolynomial:

@@ -2,6 +2,7 @@
 
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the empty diagram.  Cells are 1-based (row, col) pairs.
+Corner moves are built from one-cell additions and one-cell removals.
 
 A cycle type records only nontrivial cycles: entry i (0-based) counts
 cycles of length i + 2.  Fixed points are implied by the ambient n.
@@ -161,32 +162,16 @@ def content_sum(lam: Partition) -> int:
     return sum(j - i for i, j in cells(lam))
 
 
-def removable_corners(lam: Partition) -> list[int]:
-    """Row indices (1-based) whose last cell can be removed."""
-    return [
-        i + 1
-        for i in range(len(lam))
-        if lam[i] > (lam[i + 1] if i + 1 < len(lam) else 0)
-    ]
+def _added(lam: Partition) -> list[Partition]:
+    """Every diagram with one more cell: a row grows, or a new row starts."""
+    return [lam[:i] + (row + 1,) + lam[i + 1:] for i, row in enumerate(lam)
+            if i == 0 or row < lam[i - 1]] + [lam + (1,)]
 
 
-def addable_rows(lam: Partition) -> list[int]:
-    """Row indices (1-based, possibly len+1) where a cell can be added."""
-    rows = [1]
-    rows.extend(i + 1 for i in range(1, len(lam)) if lam[i] < lam[i - 1])
-    rows.append(len(lam) + 1)
-    return sorted(set(rows))
-
-
-def _with_added(lam: Partition, row: int) -> Partition:
-    if row == len(lam) + 1:
-        return lam + (1,)
-    return lam[: row - 1] + (lam[row - 1] + 1,) + lam[row:]
-
-
-def _with_removed(lam: Partition, row: int) -> Partition:
-    parts = lam[: row - 1] + (lam[row - 1] - 1,) + lam[row:]
-    return tuple(p for p in parts if p > 0)
+def _removed(lam: Partition) -> list[Partition]:
+    """Every diagram with one fewer cell; a row of one cell that shrinks goes."""
+    return [lam[:i] + ((row - 1,) if row > 1 else ()) + lam[i + 1:]
+            for i, (row, below) in enumerate(zip(lam, lam[1:] + (0,))) if row > below]
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,17 +192,11 @@ class CornerMoves:
 
 
 def corner_moves(lam: Partition) -> CornerMoves:
-    corners = removable_corners(lam)
-    added = {_with_added(lam, r) for r in addable_rows(lam)}
-    removed = {_with_removed(lam, r) for r in corners}
-    moved = set()
-    for r in corners:
-        shrunk = _with_removed(lam, r)
-        for s in addable_rows(shrunk):
-            candidate = _with_added(shrunk, s)
-            if candidate != lam:
-                moved.add(candidate)
-    return CornerMoves(frozenset(added), frozenset(removed), frozenset(moved), len(corners))
+    """CornerMoves of lam: moved holds the additions to each removal, bar lam."""
+    removed = _removed(lam)
+    moved = {mu for shrunk in removed for mu in _added(shrunk)}
+    moved.discard(lam)
+    return CornerMoves(frozenset(_added(lam)), frozenset(removed), frozenset(moved), len(removed))
 
 
 def pad(lam: Partition, n: int) -> Partition:

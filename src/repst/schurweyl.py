@@ -136,6 +136,17 @@ class VermaWeight:
                 f"{self.space_dim - 1} parts for dim V = {self.space_dim}")
 
 
+def _row_windows(weight: VermaWeight, top: int) -> list[tuple[int, int, int]]:
+    """(i, lo, hi): row i admits t in [|lam| + lam_i - i + 1, |lam| + lam_{i-1} - i],
+    the first row without an upper end, and hi is clipped at top.  Rows past
+    len(lam) + 1 admit nothing, so only rows 1..min(N-1, len(lam)+1) are listed."""
+    size = sum(weight.lam)
+    padded = weight.lam + (0,)
+    return [(i, size + padded[i - 1] - i + 1,
+             top if i == 1 else min(top, size + padded[i - 2] - i))
+            for i in range(1, min(weight.space_dim, len(padded) + 1))]
+
+
 def verma_candidates(weight: VermaWeight, t_max: int) -> list[tuple[int, int, int]]:
     """All (t, i, m) with 1 <= i <= N-1, m >= 1, lam_{i-1} >= lam_i + m
     (no constraint for i = 1), and t = |lam| + lam_i + m - i in [0, t_max].
@@ -143,19 +154,9 @@ def verma_candidates(weight: VermaWeight, t_max: int) -> list[tuple[int, int, in
     Degeneration of the module with highest weight (t - |lam|, lam) forces
     t to appear in this list; the converse is not asserted.
     """
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    size = sum(weight.lam)
-    padded = weight.lam + (0,)
-    found = []
-    # rows past len(lam) + 1 have m_cap = 0; m >= 1 and m_cap keep t in [0, t_max]
-    for i in range(1, min(weight.space_dim, len(padded) + 1)):
-        lam_i = padded[i - 1]
-        m_cap = t_max - size - lam_i + i
-        if i > 1:
-            m_cap = min(padded[i - 2] - lam_i, m_cap)
-        found.extend((size + lam_i + m - i, i, m) for m in range(1, m_cap + 1))
-    return sorted(found)
+    check_size_cap("t_max", t_max)
+    return sorted((t, i, t - lo + 1) for i, lo, hi in _row_windows(weight, t_max)
+                  for t in range(lo, hi + 1))
 
 
 def candidate_t_values(weight: VermaWeight, t_max: int) -> set[int]:
@@ -165,11 +166,11 @@ def candidate_t_values(weight: VermaWeight, t_max: int) -> set[int]:
 def irreducible_guaranteed(t: Fraction | int, weight: VermaWeight) -> bool:
     """True when the highest-weight module at this t is certainly
     irreducible: t not a nonnegative integer, or a nonnegative integer
-    outside the candidate list.  False only means "not excluded"."""
+    outside every row window of the candidate list.  False only means "not excluded"."""
     t = Fraction(t)
     if t.denominator != 1 or t < 0:
         return True
-    return int(t) not in candidate_t_values(weight, int(t))
+    return not any(lo <= t <= hi for _, lo, hi in _row_windows(weight, int(t)))
 
 
 def interlacing_branch(lam: Partition, space_dim: int, size_bound: int) -> list[Partition]:

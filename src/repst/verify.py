@@ -68,7 +68,7 @@ def _validity_start(lam, rho=()) -> int:
 
 
 def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
-                 max_m: int | None = None, degree: int | None = None) -> SuiteReport:
+                 max_m: int | None = None) -> SuiteReport:
     """Interpolated dimensions, central-element eigenvalues, and character
     values against honest S_n, plus integrality certificates.
 
@@ -141,8 +141,7 @@ def _certify(report: SuiteReport, poly: ExactPolynomial, check: str, where: dict
         report.record(False, check, where, str(err))
 
 
-def pieri_suite(*, max_size: int | None = None, max_n: int | None = None,
-                max_m: int | None = None, degree: int | None = None) -> SuiteReport:
+def pieri_suite(*, max_size: int | None = None) -> SuiteReport:
     """(t - 1) * dim(lam) = sum of dims over the corner-move decomposition,
     as a polynomial identity, plus symmetry of the decomposition."""
     report = SuiteReport("pieri")
@@ -165,8 +164,7 @@ def pieri_suite(*, max_size: int | None = None, max_n: int | None = None,
     return report
 
 
-def stirling_suite(*, max_size: int | None = None, max_n: int | None = None,
-                   max_m: int | None = None, degree: int | None = None) -> SuiteReport:
+def stirling_suite(*, max_n: int | None = None, max_m: int | None = None) -> SuiteReport:
     """Filtered group-algebra Hilbert coefficients: interpolation route
     against elementary symmetric values beyond the nodes, agreement of the
     Gamma-ratio route, factorial row sums, integrality."""
@@ -188,8 +186,7 @@ def stirling_suite(*, max_size: int | None = None, max_n: int | None = None,
     return report
 
 
-def bounds_suite(*, max_size: int | None = None, max_n: int | None = None,
-                 max_m: int | None = None, degree: int | None = None) -> SuiteReport:
+def bounds_suite(*, max_n: int | None = None) -> SuiteReport:
     """Appendix inequalities: the dimension lower bound for every partition,
     the AM-GM step, and the long-row-or-column scan window."""
     report = SuiteReport("bounds")
@@ -210,8 +207,7 @@ def bounds_suite(*, max_size: int | None = None, max_n: int | None = None,
     return report
 
 
-def graded_suite(*, max_size: int | None = None, max_n: int | None = None,
-                 max_m: int | None = None, degree: int | None = None) -> SuiteReport:
+def graded_suite(*, degree: int | None = None) -> SuiteReport:
     """Tensor-power Hilbert series: binomial coefficients of (1+x)^t, the
     graded decomposition identity, the first filtration layer, and integer
     specializations."""
@@ -254,17 +250,21 @@ SUITES = {
 
 def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
     """Run one named suite, or all of them, with optional range overrides
-    (max_size, max_n, max_m, degree), timing each suite.  Every override is
-    checked against the enumeration cap before any suite runs."""
+    (max_size, max_n, max_m, degree), timing each suite, which gets those
+    named by its keyword-only parameters.  Before any suite runs, an override
+    no chosen suite reads is a ValueError; the rest meet the enumeration cap."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    for key, value in limits.items():
-        if value is not None:
-            partitions.check_size_cap(key, value)
+    suites = list(SUITES.values()) if name == "all" else [SUITES[name]]
+    given = {key: value for key, value in limits.items() if value is not None}
+    for key, value in given.items():
+        if not any(key in suite.__kwdefaults__ for suite in suites):
+            raise ValueError(f"{key} does not apply to suite {name}")
+        partitions.check_size_cap(key, value)
     reports = []
-    for suite in SUITES.values() if name == "all" else [SUITES[name]]:
+    for suite in suites:
         start = perf_counter()
-        report = suite(**limits)
+        report = suite(**{key: limits.get(key) for key in suite.__kwdefaults__})
         report.elapsed = perf_counter() - start
         reports.append(report)
     return reports

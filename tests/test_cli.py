@@ -196,6 +196,14 @@ def test_hilbert_and_branch_caps_beyond_the_enumeration_limit_fail_fast(argv, ca
                              "raise REPST_LIMITS to allow it\n")
 
 
+def test_verma_t_max_beyond_the_enumeration_limit_fails_fast():
+    result = run_cli_process("verma", "--lambda", "1", "--N", "4", "--t-max", "100000000")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: t_max=100000000 exceeds the enumeration cap 40; "
+                             "raise REPST_LIMITS to allow it\n")
+
+
 def test_malformed_limit_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("REPST_LIMITS", "abc")
     code, _, err = run_cli(capsys, "bounds", "--max-n", "5")
@@ -238,6 +246,33 @@ def test_verify_negative_cap_exits_2(capsys, flag, key):
     assert code == 2
     assert out == ""
     assert err == f"error: {key} must be nonnegative, got -5\n"
+
+
+# every verify cap flag, and the suites that read it
+_VERIFY_CAPS = {
+    "--max-size": ("max_size", {"oracle", "pieri"}),
+    "--max-n": ("max_n", {"oracle", "stirling", "bounds"}),
+    "--max-m": ("max_m", {"oracle", "stirling"}),
+    "--deg": ("degree", {"graded"}),
+}
+
+
+@pytest.mark.parametrize("suite, flag", [
+    (suite, flag) for flag, (_, readers) in _VERIFY_CAPS.items()
+    for suite in sorted(verify.SUITES) if suite not in readers
+])
+def test_verify_cap_the_suite_does_not_read_exits_2(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {_VERIFY_CAPS[flag][0]} does not apply to suite {suite}\n"
+
+
+def test_each_suite_reads_only_its_own_caps():
+    readers = {suite: set(fn.__kwdefaults__) for suite, fn in verify.SUITES.items()}
+    assert readers == {suite: {key for key, suites in _VERIFY_CAPS.values() if suite in suites}
+                       for suite in verify.SUITES}
+    assert sum(map(len, readers.values())) == 8
 
 
 def test_run_suites_rejects_an_unknown_suite():

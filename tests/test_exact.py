@@ -22,6 +22,7 @@ from repst.exact import (
     convolve_coefficient,
     falling_factorial_poly,
     lagrange_interpolate,
+    linear_product,
     poly_from_json,
     poly_to_json,
     to_binomial_basis,
@@ -65,6 +66,46 @@ def test_binomial_poly_values():
     assert binomial_poly(-1, 1) == T - 1
     assert binomial_poly(0, 2) == (T * (T - 1)).scale(Fraction(1, 2))
     assert falling_factorial_poly(3) == T * (T - 1) * (T - 2)
+
+
+def _fraction_product(roots, den):
+    """prod (t - r) / den as a list of Fraction coefficients, convolving
+    with the coefficient list [-r, 1] of each factor in turn."""
+    coeffs = [Fraction(1, den)]
+    for r in roots:
+        product = [Fraction(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            product[k] -= r * c
+            product[k + 1] += c
+        coeffs = product
+    return coeffs
+
+
+@given(roots=st.lists(st.integers(-12, 12), max_size=10), den=st.integers(1, 5040))
+def test_linear_product_matches_a_fraction_product(roots, den):
+    p = linear_product(roots, den)
+    assert p.coeffs == tuple(_fraction_product(roots, den))
+    assert gcd(p.den, *p.nums) == 1
+    for t in (-3, 0, Fraction(1, 2), 7):
+        expected = Fraction(1, den)
+        for r in roots:
+            expected *= t - r
+        assert p(t) == expected
+
+
+def test_linear_product_edge_cases():
+    assert linear_product([]) == ONE
+    assert linear_product((), 6) == Fraction(1, 6)
+    assert linear_product([2, 2]) == (T - 2) ** 2
+    assert linear_product([-1, -1, 3], 4) == ((T + 1) ** 2 * (T - 3)).scale(Fraction(1, 4))
+    falling = T * (T - 1) * (T - 2) * (T - 3)
+    assert linear_product(iter(range(4)), 24) == falling.scale(Fraction(1, 24))
+    with pytest.raises(ValueError, match="den must be positive, got 0"):
+        linear_product([1], 0)
+    with pytest.raises(TypeError):
+        linear_product([1.5])
+    with pytest.raises(TypeError):
+        linear_product([1], Fraction(1, 2))
 
 
 def test_binomial_basis_known_values():

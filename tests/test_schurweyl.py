@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -186,6 +187,33 @@ def test_irreducible_guaranteed():
     assert sw.irreducible_guaranteed(1, w1)
     assert not sw.irreducible_guaranteed(0, w1)
     assert not sw.irreducible_guaranteed(3, sw.VermaWeight((), 4))
+
+
+@given(lam=partition_strategy(max_n=6), extra=st.integers(1, 4), t=st.integers(-2, 14))
+def test_irreducible_guaranteed_matches_the_candidate_list(lam, extra, t):
+    weight = sw.VermaWeight(lam, len(lam) + extra)
+    expected = t < 0 or t not in sw.candidate_t_values(weight, t)
+    assert sw.irreducible_guaranteed(t, weight) == expected
+
+
+def test_irreducible_guaranteed_at_a_huge_rank_is_immediate():
+    weight = sw.VermaWeight((2, 1), 4)
+    start = time.perf_counter()
+    # the first row admits every t >= |lam| + lam_1, so a huge t is a candidate
+    assert not sw.irreducible_guaranteed(10 ** 12, weight)
+    assert sw.irreducible_guaranteed(10 ** 12 + Fraction(1, 3), weight)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_verma_candidates_cap_t_max(monkeypatch):
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    weight = sw.VermaWeight((1,), 4)
+    with pytest.raises(pt.LimitExceededError, match="t_max=41 exceeds the enumeration cap 40"):
+        sw.verma_candidates(weight, 41)
+    with pytest.raises(ValueError, match="t_max must be nonnegative, got -1"):
+        sw.verma_candidates(weight, -1)
+    monkeypatch.setenv("REPST_LIMITS", "45")
+    assert sw.candidate_t_values(weight, 45) == set(range(46)) - {1}
 
 
 def test_interlacing_branch_known_values():
