@@ -11,9 +11,8 @@ cycles of length i + 2.  Fixed points are implied by the ambient n.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 CycleType = tuple[int, ...]
@@ -79,11 +78,14 @@ def check_partition(parts) -> Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse a comma-separated part list; the empty string is the empty diagram."""
+    """Parse a comma-separated part list; the empty string is the empty
+    diagram.  |lam| is held to the enumeration cap."""
     text = text.strip()
     if not text:
         return ()
-    return check_partition(int(piece) for piece in text.split(","))
+    lam = check_partition(int(piece) for piece in text.split(","))
+    check_size_cap("|lambda|", sum(lam))
+    return lam
 
 
 def format_partition(lam: Partition) -> str:
@@ -100,11 +102,14 @@ def check_cycle_type(counts) -> CycleType:
 
 
 def parse_cycle_type(text: str) -> CycleType:
-    """Parse "m1,m2,..." (counts of 2-cycles, 3-cycles, ...); "" is the identity."""
+    """Parse "m1,m2,..." (counts of 2-cycles, 3-cycles, ...); "" is the
+    identity.  The number of moved points is held to the enumeration cap."""
     text = text.strip()
     if not text:
         return ()
-    return check_cycle_type(int(piece) for piece in text.split(","))
+    rho = check_cycle_type(int(piece) for piece in text.split(","))
+    check_size_cap("support(rho)", support(rho))
+    return rho
 
 
 def format_cycle_type(rho: CycleType) -> str:
@@ -174,8 +179,7 @@ def _removed(lam: Partition) -> list[Partition]:
             for i, (row, below) in enumerate(zip(lam, lam[1:] + (0,))) if row > below]
 
 
-@dataclass(frozen=True, slots=True)
-class CornerMoves:
+class CornerMoves(NamedTuple):
     """The diagrams reachable from lam by one corner-cell move.
 
     added:   one addable cell appended

@@ -204,6 +204,19 @@ def test_verma_t_max_beyond_the_enumeration_limit_fails_fast():
                              "raise REPST_LIMITS to allow it\n")
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["dim", "--lambda", "100000000"], "|lambda|=100000000"),
+    (["omega", "--lambda", "100000000"], "|lambda|=100000000"),
+    (["class-size", "--rho", "100000000"], "support(rho)=200000000"),
+])
+def test_lambda_and_rho_beyond_the_enumeration_limit_fail_fast(argv, cap):
+    result = run_cli_process(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"error: {cap} exceeds the enumeration cap 40; "
+                             "raise REPST_LIMITS to allow it\n")
+
+
 def test_malformed_limit_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("REPST_LIMITS", "abc")
     code, _, err = run_cli(capsys, "bounds", "--max-n", "5")
@@ -313,3 +326,56 @@ def test_bounds_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["pass"] is True and data["n"] == 9
+
+
+# small arguments for every subcommand, so that each handler runs its own imports
+_EVERY_COMMAND = {
+    "dim": ["--lambda", "2,1"],
+    "pieri": ["--lambda", "1"],
+    "omega": ["--lambda", "2,1", "--t-eval", "5"],
+    "omega-m": ["--lambda", "1", "--rho", "0,1"],
+    "class-size": ["--rho", "1"],
+    "hilbert": ["--h", "1,2", "--deg", "2"],
+    "verma": ["--lambda", "1", "--N", "3", "--t-max", "4"],
+    "branch": ["--lambda", "1", "--N", "2", "--max-size", "2"],
+    "stirling": ["--max-m", "2"],
+    "bounds": ["--max-n", "4"],
+    "verify": ["--suite", "pieri", "--max-size", "2"],
+}
+
+
+def _subcommands():
+    return cli.build_parser()._subparsers._group_actions[0].choices
+
+
+def test_every_subcommand_is_covered():
+    assert set(_EVERY_COMMAND) == set(_subcommands())
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_every_subcommand_prints_json(capsys, command):
+    code, out, err = run_cli(capsys, command, *_EVERY_COMMAND[command], "--json")
+    assert (code, err) == (0, "")
+    assert isinstance(json.loads(out), dict)
+
+
+def test_verify_suite_choices_name_every_suite():
+    suite = next(action for action in _subcommands()["verify"]._actions if action.dest == "suite")
+    assert suite.choices == sorted(verify.SUITES) + ["all"]
+
+
+def test_a_cold_dim_loads_only_what_it_runs():
+    """`repst dim` needs neither the verify suites, nor schurweyl or bounds,
+    nor dataclasses (which pulls in inspect)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    script = ("import sys\n"
+              "from repst.cli import main\n"
+              "code = main(['dim', '--lambda', '2', '--json'])\n"
+              "print(sorted({'repst.verify', 'repst.schurweyl', 'repst.bounds', 'dataclasses',"
+              " 'inspect'} & set(sys.modules)), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=20)
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["lambda"] == "2"
+    assert result.stderr == "[]\n"

@@ -221,6 +221,19 @@ def test_parse_and_format_partition():
         pt.parse_partition("0")
 
 
+def test_parsed_sizes_are_held_to_the_enumeration_cap(monkeypatch):
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    assert pt.parse_partition("40") == (40,)
+    assert pt.parse_cycle_type("20") == (20,)
+    with pytest.raises(pt.LimitExceededError, match=r"^\|lambda\|=41 exceeds"):
+        pt.parse_partition("21,20")
+    with pytest.raises(pt.LimitExceededError, match=r"^support\(rho\)=42 exceeds"):
+        pt.parse_cycle_type("0,14")
+    monkeypatch.setenv("REPST_LIMITS", "42")
+    assert pt.parse_partition("21,20") == (21, 20)
+    assert pt.parse_cycle_type("0,14") == (0, 14)
+
+
 @given(lam=partition_strategy(max_n=12))
 def test_partition_string_roundtrip(lam):
     assert pt.parse_partition(pt.format_partition(lam)) == lam
