@@ -14,32 +14,8 @@ Modules by topic:
   groupalg    Hilbert coefficients of the filtered group algebra
   bounds      exact dimension lower bounds
   verify      batch identity sweeps used by the CLI and the acceptance tests
-"""
 
-from .exact import (
-    BadConstantTermError,
-    BinomialBasisPolynomial,
-    ExactPolynomial,
-    NonDivisibleError,
-    NotIntegerValuedError,
-    OutOfBoundsError,
-    T,
-    TruncatedSeries,
-    binomial_poly,
-    to_binomial_basis,
-)
-from .partitions import (
-    BadLimitError,
-    CycleType,
-    InvariantError,
-    LimitExceededError,
-    PadTooSmallError,
-    Partition,
-    conjugate,
-    pad,
-    parse_partition,
-    partitions_of,
-)
-from .snoracle import SizeMismatchError, character, class_size, hook_dim
+The root holds only __version__; import names from their submodules.
+"""
 
 __version__ = "0.1.0"

@@ -79,9 +79,12 @@ def peel_identity_holds(mu: Partition) -> bool:
 class BoundSweepReport:
     n: int
     partition_count: int
-    passed: bool
     min_slack: Fraction
     argmin: Partition
+
+    @property
+    def passed(self) -> bool:
+        return self.min_slack >= 0
 
     def to_json(self) -> dict:
         return {
@@ -112,7 +115,7 @@ def bound_sweep(n: int) -> BoundSweepReport:
             least[d] = (dim, position, mu)
     min_slack, _, argmin = min((dim - dimension_lower_bound(n, mu), position, mu)
                                for dim, position, mu in least.values())
-    return BoundSweepReport(n, len(mus), min_slack >= 0, min_slack, argmin)
+    return BoundSweepReport(n, len(mus), min_slack, argmin)
 
 
 def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:

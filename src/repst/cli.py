@@ -38,9 +38,10 @@ def _emit_poly(args, poly, label: str, extra: dict | None = None) -> None:
     payload[label] = poly_to_json(poly)
     payload[f"{label}_binomial"] = poly_to_json(binom)
     if args.t_eval is not None:
+        at_t = poly(args.t_eval)
         payload["t_eval"] = {
             "t": str(args.t_eval),
-            "value": [str(poly(args.t_eval).numerator), str(poly(args.t_eval).denominator)],
+            "value": [str(at_t.numerator), str(at_t.denominator)],
         }
     if args.json:
         print(json.dumps(payload))
@@ -50,7 +51,7 @@ def _emit_poly(args, poly, label: str, extra: dict | None = None) -> None:
     print(f"{label} = {poly}")
     print(f"{label} (binomial basis) = {binom}")
     if args.t_eval is not None:
-        print(f"value at t = {args.t_eval}: {poly(args.t_eval)}")
+        print(f"value at t = {args.t_eval}: {at_t}")
 
 
 def cmd_dim(args) -> int:

@@ -70,10 +70,6 @@ class ExactPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "ExactPolynomial":
-        return cls((c,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self.den

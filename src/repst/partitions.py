@@ -136,15 +136,6 @@ def cells(lam: Partition) -> Iterator[Cell]:
             yield (i, j)
 
 
-def hook_lengths(lam: Partition) -> dict[Cell, int]:
-    """Hook length of each cell: arm + leg + 1."""
-    conj = conjugate(lam)
-    return {
-        (i, j): (lam[i - 1] - j) + (conj[j - 1] - i) + 1
-        for i, j in cells(lam)
-    }
-
-
 def hook_product(lam: Partition) -> int:
     """Product of all hook lengths; the hook of 0-based cell (i, j) is
     lam_i - j + lam'_j - i - 1."""

@@ -81,8 +81,11 @@ class GradedCheckReport:
 
     bar_dim: int
     degree: int
-    passed: bool
     first_failure: int | None
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
 def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
@@ -108,7 +111,7 @@ def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
     rhs = sym * TruncatedSeries((degree,), layers)
     first_failure = next((k for k in range(degree + 1)
                           if lhs.coefficient((k,)) != rhs.coefficient((k,))), None)
-    return GradedCheckReport(d, degree, first_failure is None, first_failure)
+    return GradedCheckReport(d, degree, first_failure)
 
 
 def degree_one_dimension(v: int) -> ExactPolynomial:

@@ -1,12 +1,14 @@
 """Classical symmetric-group reference computations.
 
-Dimensions by Frobenius's formula, Murnaghan-Nakayama characters, and
-conjugacy-class sizes for honest S_n.  This module is the ground truth that
-the rank interpolations elsewhere are checked against, so it must not
-import from them; everything here is textbook S_n combinatorics.  Its
-dimension formula shares no code with partitions.hook_product, which the
-interpolated dimensions divide by.  The cycle-type format it reads is
-defined in partitions.
+Dimensions, Murnaghan-Nakayama characters and conjugacy-class sizes for
+honest S_n.  The first two work on beta-numbers: a border strip lowers one
+beta-number, and the character recursion ends in Frobenius's dimension
+formula (Macdonald, Symmetric Functions and Hall Polynomials, I.1, I.7).
+This module is the ground truth that the rank interpolations elsewhere are
+checked against, so it must not import from them; everything here is
+textbook S_n combinatorics.  Its dimension formula shares no code with
+partitions.hook_product, which the interpolated dimensions divide by.  The
+cycle-type format it reads is defined in partitions.
 """
 
 from __future__ import annotations
@@ -42,53 +44,54 @@ def cycle_type_of_partition(shape: Partition) -> CycleType:
     return check_cycle_type(counts)
 
 
-def hook_dim(mu: Partition) -> int:
-    """Dimension of the irreducible S_{|mu|}-representation, by Frobenius's
-    formula (Fulton-Harris, eq. 4.11): with beta_i = mu_i + l - 1 - i for
-    0-based i and l = len(mu),
-
-        f^mu = |mu|! prod_{i<j} (beta_i - beta_j) / prod_i beta_i!.
-
-    It does not use partitions.hook_product, so it checks the hook-length
-    route independently."""
-    n = sum(mu)
+def _beta(mu: Partition) -> tuple[int, ...]:
+    """Beta-numbers mu_i + l - 1 - i (0-based i, l = len(mu)), decreasing."""
     top = len(mu) - 1
-    beta = [part + top - i for i, part in enumerate(mu)]
+    # from a list: tuple() of a generator allocates 10 slots and resizes,
+    # and the resized tuples pile up in CPython's tuple free lists
+    return tuple([part + top - i for i, part in enumerate(mu)])
+
+
+def _dimension(beta: tuple[int, ...]) -> int:
+    """Frobenius's formula (Fulton-Harris, eq. 4.11) on strictly decreasing
+    beta-numbers of any length l, which fix n = sum(beta) - l(l-1)/2:
+
+        f = n! prod_{i<j} (beta_i - beta_j) / prod_i beta_i!."""
+    k = len(beta)
+    n = sum(beta) - k * (k - 1) // 2
     quotient, remainder = divmod(factorial(n) * prod(starmap(sub, combinations(beta, 2))),
                                  prod(map(factorial, beta)))
     if remainder:
         raise InvariantError(
-            f"beta-number factorials of {format_partition(mu)} do not divide {n}! "
+            f"factorials of the beta-numbers {format_partition(beta)} do not divide {n}! "
             "times their Vandermonde product")
     return quotient
 
 
-def _partition_from_beta(beta: tuple[int, ...]) -> Partition:
-    k = len(beta)
-    return tuple(p for p in (beta[i] - (k - 1 - i) for i in range(k)) if p > 0)
+def hook_dim(mu: Partition) -> int:
+    """Dimension of the irreducible S_{|mu|}-representation, by Frobenius's
+    formula on its beta-numbers, independently of partitions.hook_product."""
+    return _dimension(_beta(mu))
 
 
 @lru_cache(maxsize=None)
-def _mn_recurse(mu: Partition, lengths: tuple[int, ...]) -> int:
+def _mn_recurse(beta: tuple[int, ...], lengths: tuple[int, ...]) -> int:
     if not lengths:
         # all remaining cycles are fixed points; the character of the
         # identity is the dimension
-        return hook_dim(mu)
+        return _dimension(beta)
     strip, rest = lengths[0], lengths[1:]
-    k = len(mu)
-    beta = tuple(mu[i] + (k - 1 - i) for i in range(k))
-    beta_set = set(beta)
     total = 0
     # removing a border strip of the given length = lowering one beta
     # number by it, provided the slot is free; the sign is the parity of
     # the beta numbers jumped over (= leg length of the strip)
-    for b in beta:
+    for i, b in enumerate(beta):
         c = b - strip
-        if c < 0 or c in beta_set:
+        if c < 0 or c in beta:
             continue
         height = sum(1 for x in beta if c < x < b)
-        new_beta = tuple(sorted((beta_set - {b}) | {c}, reverse=True))
-        total += (-1) ** height * _mn_recurse(_partition_from_beta(new_beta), rest)
+        lowered = tuple(sorted(beta[:i] + beta[i + 1:] + (c,), reverse=True))
+        total += (-1) ** height * _mn_recurse(lowered, rest)
     return total
 
 
@@ -98,7 +101,7 @@ def character(mu: Partition, rho: CycleType) -> int:
     rho = check_cycle_type(rho)
     if sum(mu) < support(rho):
         raise SizeMismatchError(f"|{format_partition(mu)}| < moved points {support(rho)}")
-    return _mn_recurse(tuple(mu), cycle_lengths(rho))
+    return _mn_recurse(_beta(mu), cycle_lengths(rho))
 
 
 def class_size(n: int, rho: CycleType) -> int:

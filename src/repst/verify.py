@@ -91,7 +91,7 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
 
     for lam in partitions_up_to(dim_size):
         poly = deligne.jm_eigenvalue(lam)
-        for n in range(max(_validity_start(lam, (1,)), 2), dim_n + 1):
+        for n in range(_validity_start(lam, (1,)), dim_n + 1):
             report.expect("jm-oracle", {"lambda": format_partition(lam), "n": n},
                           snoracle.central_eigenvalue(n, (1,), partitions.pad(lam, n)), poly(n))
 
@@ -107,6 +107,8 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
                 report.expect("character-shadow", where, snoracle.character(mu, rho), frob(n))
                 report.expect("central-oracle", where,
                               snoracle.central_eigenvalue(n, rho, mu), omega(n))
+            _certify(report, omega, "integrality-central",
+                     {"lambda": format_partition(lam), "rho": format_cycle_type(rho)})
 
     for lam in partitions_up_to(dim_size):
         _certify(report, deligne.dimension_poly(lam), "integrality-dim",
@@ -114,11 +116,6 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
     for rho in cycle_types:
         _certify(report, deligne.class_size_poly(rho), "integrality-class-size",
                  {"rho": format_cycle_type(rho)})
-    for lam in partitions_up_to(cen_size):
-        for rho in cycle_types:
-            _certify(report, deligne.central_eigenvalue_poly(rho, lam),
-                     "integrality-central",
-                     {"lambda": format_partition(lam), "rho": format_cycle_type(rho)})
 
     stab_types = snoracle.cycle_types_with_support_up_to(min(cen_m, 4))
     for lam in partitions_up_to(min(cen_size, 4)):

@@ -328,6 +328,17 @@ def test_bounds_command(capsys):
     assert data["pass"] is True and data["n"] == 9
 
 
+def test_a_bound_below_the_dimension_fails_and_exits_1(capsys, monkeypatch):
+    from repst import bounds
+    monkeypatch.setattr(bounds, "hook_dim", lambda mu: 0)
+    report = bounds.bound_sweep(5)
+    assert report.passed is False and report.min_slack < 0
+    assert report.to_json()["pass"] is False
+    code, out, _ = run_cli(capsys, "bounds", "--max-n", "5")
+    assert code == 1
+    assert out.endswith(", FAIL\n")
+
+
 # small arguments for every subcommand, so that each handler runs its own imports
 _EVERY_COMMAND = {
     "dim": ["--lambda", "2,1"],
@@ -366,13 +377,13 @@ def test_verify_suite_choices_name_every_suite():
 
 def test_a_cold_dim_loads_only_what_it_runs():
     """`repst dim` needs neither the verify suites, nor schurweyl or bounds,
-    nor dataclasses (which pulls in inspect)."""
+    nor the snoracle oracle, nor dataclasses (which pulls in inspect)."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     script = ("import sys\n"
               "from repst.cli import main\n"
               "code = main(['dim', '--lambda', '2', '--json'])\n"
-              "print(sorted({'repst.verify', 'repst.schurweyl', 'repst.bounds', 'dataclasses',"
-              " 'inspect'} & set(sys.modules)), file=sys.stderr)\n"
+              "print(sorted({'repst.verify', 'repst.schurweyl', 'repst.bounds', 'repst.snoracle',"
+              " 'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)\n"
               "sys.exit(code)\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, timeout=20)

@@ -32,21 +32,16 @@ def test_hook_product_matches_cell_hooks_through_size_12():
                 leg = sum(1 for below in lam[i + 1:] if below > j)
                 expected *= arm + leg + 1
         assert pt.hook_product(lam) == expected
-        hooks = 1
-        for h in pt.hook_lengths(lam).values():
-            hooks *= h
-        assert hooks == expected
 
 
 @given(lam=partition_strategy(max_n=12))
-def test_hook_sum_invariant_under_conjugation(lam):
-    total = sum(pt.hook_lengths(lam).values())
-    assert total == sum(pt.hook_lengths(pt.conjugate(lam)).values())
+def test_hook_product_invariant_under_conjugation(lam):
+    assert pt.hook_product(lam) == pt.hook_product(pt.conjugate(lam))
 
 
-def test_hook_lengths_known_values():
-    assert pt.hook_lengths((1,)) == {(1, 1): 1}
-    assert pt.hook_lengths((2, 1)) == {(1, 1): 3, (1, 2): 1, (2, 1): 1}
+def test_hook_product_known_values():
+    assert pt.hook_product((1,)) == 1
+    assert pt.hook_product((2, 1)) == 3
     assert pt.hook_product((3, 2)) == 24
 
 

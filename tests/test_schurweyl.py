@@ -87,7 +87,7 @@ def test_symmetric_algebra_hilbert_closed_form():
     for d, coeffs in pinned.items():
         series = sw.symmetric_algebra_hilbert(d, 12)
         assert [series.coefficient((j,)) for j in range(13)] == coeffs
-        assert series == one_minus_x.pow_poly(ExactPolynomial.constant(-d))
+        assert series == one_minus_x.pow_poly(ExactPolynomial((-d,)))
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
