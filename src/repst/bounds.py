@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
+from math import comb, floor, prod
 
+from .exact import rational_to_json
 from .partitions import Partition, conjugate, format_partition, partitions_of
 from .snoracle import SizeMismatchError, hook_dim
 
@@ -48,15 +49,8 @@ def amgm_check(mu: Partition) -> bool:
         return True
     n = sum(mu)
     d = mu[0]
-    factors = row_peel_factors(mu)
-    product = Fraction(1)
-    for f in factors:
-        product *= f
-    cols = conjugate(mu)
-    col_product = 1
-    for c in cols:
-        col_product *= c
-    return product <= col_product and col_product <= Fraction(n, d) ** d
+    col_product = prod(conjugate(mu))
+    return prod(row_peel_factors(mu)) <= col_product <= Fraction(n, d) ** d
 
 
 def peel_identity_holds(mu: Partition) -> bool:
@@ -67,12 +61,7 @@ def peel_identity_holds(mu: Partition) -> bool:
     where mu' is mu without its first row."""
     if not mu:
         return True
-    n = sum(mu)
-    d = mu[0]
-    product = Fraction(1)
-    for f in row_peel_factors(mu):
-        product *= f
-    return hook_dim(mu) * product == hook_dim(mu[1:]) * comb(n, d)
+    return hook_dim(mu) * prod(row_peel_factors(mu)) == hook_dim(mu[1:]) * comb(sum(mu), mu[0])
 
 
 @dataclass(frozen=True)
@@ -92,7 +81,7 @@ class BoundSweepReport:
             "n": self.n,
             "partitions": self.partition_count,
             "pass": self.passed,
-            "minSlack": [str(self.min_slack.numerator), str(self.min_slack.denominator)],
+            "minSlack": rational_to_json(self.min_slack),
             "argmin": format_partition(self.argmin),
         }
 

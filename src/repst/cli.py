@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import deligne, groupalg
-from .exact import NonDivisibleError, OutOfBoundsError, poly_to_json, to_binomial_basis
+from .exact import NonDivisibleError, OutOfBoundsError, poly_to_json, rational_to_json, to_binomial_basis
 from .partitions import InvariantError, format_partition, parse_cycle_type, parse_partition
 
 USAGE_ERROR = 2
@@ -39,10 +39,7 @@ def _emit_poly(args, poly, label: str, extra: dict | None = None) -> None:
     payload[f"{label}_binomial"] = poly_to_json(binom)
     if args.t_eval is not None:
         at_t = poly(args.t_eval)
-        payload["t_eval"] = {
-            "t": str(args.t_eval),
-            "value": [str(at_t.numerator), str(at_t.denominator)],
-        }
+        payload["t_eval"] = {"t": str(args.t_eval), "value": rational_to_json(at_t)}
     if args.json:
         print(json.dumps(payload))
         return

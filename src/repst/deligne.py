@@ -77,10 +77,10 @@ def class_size_poly(rho: CycleType) -> ExactPolynomial:
     return falling_factorial_poly(m).scale(Fraction(1, den))
 
 
-def _power_sum(bounds: tuple[int, ...], r: int) -> TruncatedSeries:
-    """p_r = sum_i x_i^r after the substitution x_i = u_1 ... u_i."""
+def _one_plus_power_sum(bounds: tuple[int, ...], r: int) -> TruncatedSeries:
+    """1 + p_r, with p_r = sum_i x_i^r after the substitution x_i = u_1 ... u_i."""
     n = len(bounds)
-    return TruncatedSeries(bounds, {(r,) * i + (0,) * (n - i): 1 for i in range(1, n + 1)})
+    return TruncatedSeries(bounds, {(r,) * i + (0,) * (n - i): 1 for i in range(n + 1)})
 
 
 def _interval_factor(bounds: tuple[int, ...], lo: int, hi: int) -> TruncatedSeries:
@@ -122,11 +122,10 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
 
     # "power block": all of its monomials are sums of prefix intervals, so
     # its support stays on weakly decreasing exponents and small
-    power_block = (TruncatedSeries.constant(bounds, 1) + _power_sum(bounds, 1)).pow_poly(T - m)
+    power_block = _one_plus_power_sum(bounds, 1).pow_poly(T - m)
     for i, count in enumerate(rho):
         if count:
-            cycle_factor = TruncatedSeries.constant(bounds, 1) + _power_sum(bounds, i + 2)
-            power_block = power_block * cycle_factor ** count
+            power_block = power_block * _one_plus_power_sum(bounds, i + 2) ** count
 
     # "alternating block": prod (1 - x_i) prod_{i>j} (1 - x_i/x_j), one
     # factor 1 - u_lo ... u_hi per interval 1 <= lo <= hi <= variables

@@ -161,16 +161,7 @@ class ExactPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE, "polynomial")
 
     def exact_div(self, other: "ExactPolynomial") -> "ExactPolynomial":
         """Divide exactly, raising NonDivisibleError on a nonzero remainder."""
@@ -249,6 +240,21 @@ def _ratio(c: Scalar) -> tuple[int, int]:
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"expected int or Fraction, not {type(c).__name__}")
     return c.numerator, c.denominator
+
+
+def _power(base, n: int, one, kind: str):
+    """base**n, right-to-left binary (Knuth, TAOCP vol. 2, 4.6.3, Algorithm A):
+    it starts from base, not one * base, and squares no further than n's top bit."""
+    if n < 0:
+        raise ValueError(f"negative {kind} power")
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = base * base
 
 
 T = ExactPolynomial((0, 1))
@@ -401,7 +407,12 @@ def lagrange_interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> ExactPolyno
 #
 # Wire format: {"basis": "monomial"|"binomial",
 #               "coeffs": [[numerator, denominator], ...]}
-# with numerators and denominators as decimal strings (arbitrary precision).
+# with numerators and denominators as decimal strings (arbitrary precision);
+# rational_to_json writes that pair for every rational the CLI reports.
+
+
+def rational_to_json(q: Scalar) -> list[str]:
+    return [str(q.numerator), str(q.denominator)]
 
 
 def poly_to_json(p) -> dict:
@@ -413,7 +424,7 @@ def poly_to_json(p) -> dict:
         raise TypeError(f"cannot serialize {type(p).__name__}")
     return {
         "basis": basis,
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in p.coeffs],
+        "coeffs": [rational_to_json(c) for c in p.coeffs],
     }
 
 
@@ -521,16 +532,7 @@ class TruncatedSeries:
         return _series(self.bounds, {e: c * poly for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative series power")
-        result = _series(self.bounds, {(0,) * len(self.bounds): ONE})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _series(self.bounds, {(0,) * len(self.bounds): ONE}), "series")
 
     def _power_series(self, first, step) -> "TruncatedSeries":
         """sum_k c_k self^k with c_0 = first and c_k = step(c_{k-1}, k), for a

@@ -31,12 +31,13 @@ from .exact import (
 from .partitions import check_size_cap
 
 
-def elementary_symmetric_table(m_max: int, values: list[int]) -> list[list[Fraction]]:
-    """table[j][m] = e_m over the first j values, for m <= m_max."""
-    table = [[Fraction(1)] + [Fraction(0)] * m_max]
+def elementary_symmetric_table(m_max: int, values: list[int]) -> list[list[int]]:
+    """table[j][m] = e_m over the first j values, for m <= m_max: an int,
+    as every e_m of integers is."""
+    table = [[1] + [0] * m_max]
     for j, v in enumerate(values):
         prev = table[j]
-        row = [Fraction(1)]
+        row = [1]
         for m in range(1, m_max + 1):
             row.append(prev[m] + v * prev[m - 1])
         table.append(row)

@@ -6,6 +6,9 @@ Corner moves are built from one-cell additions and one-cell removals.
 
 A cycle type records only nontrivial cycles: entry i (0-based) counts
 cycles of length i + 2.  Fixed points are implied by the ambient n.
+
+validity_start(lam, rho) is the first rank n with a padded partition of n
+and room for the cycles of rho; interpolated identities hold from there on.
 """
 
 from __future__ import annotations
@@ -77,13 +80,16 @@ def check_partition(parts) -> Partition:
     return lam
 
 
+def _counts(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; blank text is the empty list."""
+    text = text.strip()
+    return tuple(int(piece) for piece in text.split(",")) if text else ()
+
+
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated part list; the empty string is the empty
     diagram.  |lam| is held to the enumeration cap."""
-    text = text.strip()
-    if not text:
-        return ()
-    lam = check_partition(int(piece) for piece in text.split(","))
+    lam = check_partition(_counts(text))
     check_size_cap("|lambda|", sum(lam))
     return lam
 
@@ -104,10 +110,7 @@ def check_cycle_type(counts) -> CycleType:
 def parse_cycle_type(text: str) -> CycleType:
     """Parse "m1,m2,..." (counts of 2-cycles, 3-cycles, ...); "" is the
     identity.  The number of moved points is held to the enumeration cap."""
-    text = text.strip()
-    if not text:
-        return ()
-    rho = check_cycle_type(int(piece) for piece in text.split(","))
+    rho = check_cycle_type(_counts(text))
     check_size_cap("support(rho)", support(rho))
     return rho
 
@@ -194,18 +197,21 @@ def corner_moves(lam: Partition) -> CornerMoves:
     return CornerMoves(frozenset(_added(lam)), frozenset(removed), frozenset(moved), len(removed))
 
 
+def validity_start(lam: Partition, rho: CycleType = ()) -> int:
+    """Smallest n with n >= |lam| + lam_1, where pad(lam, n) exists, and
+    n >= support(rho), where the cycles of rho fit."""
+    lowest = sum(lam) + (lam[0] if lam else 0)
+    return max(lowest, support(rho)) if rho else lowest
+
+
 def pad(lam: Partition, n: int) -> Partition:
     """Prepend a first row so the result is a partition of n.
 
-    Defined only when n - |lam| >= lam_1.
+    Defined only from n = validity_start(lam) on.
     """
-    size = sum(lam)
-    first = n - size
-    if first < (lam[0] if lam else 0):
+    if n < validity_start(lam):
         raise PadTooSmallError(f"cannot pad {lam} to size {n}")
-    if first == 0:
-        return lam
-    return (first,) + lam
+    return (n - sum(lam),) + lam if n > sum(lam) else lam
 
 
 def b_set(lam: Partition) -> frozenset[int]:

@@ -17,7 +17,7 @@ from time import perf_counter
 
 from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
 from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, binomial_poly
-from .partitions import format_cycle_type, format_partition, partitions_up_to
+from .partitions import format_cycle_type, format_partition, partitions_up_to, validity_start
 
 
 @dataclass
@@ -60,13 +60,6 @@ class SuiteReport:
         }
 
 
-def _validity_start(lam, rho=()) -> int:
-    """Smallest n at which the padded partition exists and contains the
-    cycles: interpolation identities are only claimed from there on."""
-    lowest = sum(lam) + (lam[0] if lam else 0)
-    return max(lowest, partitions.support(rho))
-
-
 def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
                  max_m: int | None = None) -> SuiteReport:
     """Interpolated dimensions, central-element eigenvalues, and character
@@ -84,23 +77,22 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
     cen_m = max_m if max_m is not None else 5
 
     for lam in partitions_up_to(dim_size):
-        poly = deligne.dimension_poly(lam)
-        for n in range(_validity_start(lam), dim_n + 1):
-            report.expect("dim-oracle", {"lambda": format_partition(lam), "n": n},
-                          snoracle.hook_dim(partitions.pad(lam, n)), poly(n))
-
-    for lam in partitions_up_to(dim_size):
-        poly = deligne.jm_eigenvalue(lam)
-        for n in range(_validity_start(lam, (1,)), dim_n + 1):
-            report.expect("jm-oracle", {"lambda": format_partition(lam), "n": n},
-                          snoracle.central_eigenvalue(n, (1,), partitions.pad(lam, n)), poly(n))
+        dim, jm = deligne.dimension_poly(lam), deligne.jm_eigenvalue(lam)
+        jm_start = validity_start(lam, (1,))  # never below validity_start(lam)
+        for n in range(validity_start(lam), dim_n + 1):
+            where = {"lambda": format_partition(lam), "n": n}
+            mu = partitions.pad(lam, n)
+            report.expect("dim-oracle", where, snoracle.hook_dim(mu), dim(n))
+            if n >= jm_start:
+                report.expect("jm-oracle", where, snoracle.central_eigenvalue(n, (1,), mu), jm(n))
+        _certify(report, dim, "integrality-dim", {"lambda": format_partition(lam)})
 
     cycle_types = snoracle.cycle_types_with_support_up_to(cen_m)
     for lam in partitions_up_to(cen_size):
         for rho in cycle_types:
             frob = deligne.frobenius_coefficient(lam, rho)
             omega = deligne.central_eigenvalue_poly(rho, lam)
-            for n in range(_validity_start(lam, rho), cen_n + 1):
+            for n in range(validity_start(lam, rho), cen_n + 1):
                 mu = partitions.pad(lam, n)
                 where = {"lambda": format_partition(lam),
                          "rho": format_cycle_type(rho), "n": n}
@@ -110,9 +102,6 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
             _certify(report, omega, "integrality-central",
                      {"lambda": format_partition(lam), "rho": format_cycle_type(rho)})
 
-    for lam in partitions_up_to(dim_size):
-        _certify(report, deligne.dimension_poly(lam), "integrality-dim",
-                 {"lambda": format_partition(lam)})
     for rho in cycle_types:
         _certify(report, deligne.class_size_poly(rho), "integrality-class-size",
                  {"rho": format_cycle_type(rho)})

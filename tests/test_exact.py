@@ -482,3 +482,33 @@ def test_pow_poly_is_a_homomorphism_in_the_exponent():
     assert h.pow_poly(g1 + g2) == h.pow_poly(g1) * h.pow_poly(g2)
     for n in range(6):
         assert h.pow_poly(ExactPolynomial((n,))) == h ** n
+
+
+POWER_BASES = [
+    ExactPolynomial((1, 2, Fraction(1, 3))),
+    TruncatedSeries((3, 2), {(0, 0): 2, (1, 0): 1, (0, 1): T, (1, 1): -1}),
+]
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (5, 3)])
+@pytest.mark.parametrize("base", POWER_BASES, ids=["polynomial", "series"])
+def test_power_takes_the_binary_method_products(base, n, products, monkeypatch):
+    one = ONE if isinstance(base, ExactPolynomial) else TruncatedSeries.constant(base.bounds, 1)
+    expected = one
+    for _ in range(n):
+        expected = expected * base
+    calls = []
+    multiply = type(base).__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return multiply(a, b)
+    monkeypatch.setattr(type(base), "__mul__", counting)
+    assert base ** n == expected
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("base, kind", zip(POWER_BASES, ["polynomial", "series"]))
+def test_negative_power_is_a_value_error(base, kind):
+    with pytest.raises(ValueError, match=f"negative {kind} power"):
+        base ** -1

@@ -129,6 +129,24 @@ def test_pad():
         pt.pad((2, 1), 4)
 
 
+def test_pad_fails_exactly_below_the_validity_start():
+    for lam in pt.partitions_up_to(6):
+        for n in range(21):
+            if n < pt.validity_start(lam):
+                with pytest.raises(pt.PadTooSmallError):
+                    pt.pad(lam, n)
+            else:
+                assert sum(pt.pad(lam, n)) == n and pt.pad(lam, n)[1:] == lam
+
+
+def test_validity_start_leaves_room_for_the_cycles():
+    from repst.snoracle import cycle_types_with_support_up_to
+    for lam in pt.partitions_up_to(6):
+        for rho in cycle_types_with_support_up_to(6):
+            start = pt.validity_start(lam, rho)
+            assert start >= pt.support(rho) and start >= pt.validity_start(lam)
+
+
 def test_b_set_known_values():
     assert pt.b_set(()) == frozenset()
     assert pt.b_set((1,)) == {1}
