@@ -2,10 +2,13 @@
 
 Every operation of the library is reachable as a subcommand, with
 human-readable output by default and a stable JSON schema under --json.
-Exit codes: 0 success, 1 a verification suite found a failed identity,
-2 malformed usage, 3 an exact computation broke down (a division with a
-remainder, a series coefficient beyond its truncation bounds, or a failed
-combinatorial invariant).
+Each `cmd_*` handler only computes: it returns `(payload, lines)`, the JSON
+object and the text lines of its answer, and `main` alone prints one of
+them and picks the exit code.
+Exit codes: 0 success, 1 the payload says `"pass": false` (a verify suite
+or the bounds sweep found a failure), 2 malformed usage, 3 an exact
+computation broke down (a division with a remainder, a series coefficient
+beyond its truncation bounds, or a failed combinatorial invariant).
 Each command computes one quantity and exits, so handlers import the
 modules only they use, and a cold start loads no more than its command runs.
 """
@@ -19,10 +22,13 @@ from fractions import Fraction
 
 from . import deligne, groupalg
 from .exact import NonDivisibleError, OutOfBoundsError, poly_to_json, rational_to_json, to_binomial_basis
-from .partitions import InvariantError, format_partition, parse_cycle_type, parse_partition
+from .partitions import InvariantError, _counts, format_partition, parse_cycle_type, parse_partition
 
+CHECK_FAILED = 1
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 3
+
+Output = tuple[dict, list[str]]  # (JSON payload, text lines); empty lines would print a blank line
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -32,160 +38,109 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from err
 
 
-def _emit_poly(args, poly, label: str, extra: dict | None = None) -> None:
+def _poly_output(args, poly, label: str, extra: dict) -> Output:
     binom = to_binomial_basis(poly)
-    payload = dict(extra or {})
-    payload[label] = poly_to_json(poly)
-    payload[f"{label}_binomial"] = poly_to_json(binom)
+    payload = {**extra, label: poly_to_json(poly), f"{label}_binomial": poly_to_json(binom)}
+    lines = [f"{key} = {value}" for key, value in extra.items()]
+    lines += [f"{label} = {poly}", f"{label} (binomial basis) = {binom}"]
     if args.t_eval is not None:
         at_t = poly(args.t_eval)
         payload["t_eval"] = {"t": str(args.t_eval), "value": rational_to_json(at_t)}
-    if args.json:
-        print(json.dumps(payload))
-        return
-    for key, value in (extra or {}).items():
-        print(f"{key} = {value}")
-    print(f"{label} = {poly}")
-    print(f"{label} (binomial basis) = {binom}")
-    if args.t_eval is not None:
-        print(f"value at t = {args.t_eval}: {at_t}")
+        lines.append(f"value at t = {args.t_eval}: {at_t}")
+    return payload, lines
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> Output:
     lam = parse_partition(args.lam)
-    _emit_poly(args, deligne.dimension_poly(lam), "dimension",
-               {"lambda": format_partition(lam)})
-    return 0
+    return _poly_output(args, deligne.dimension_poly(lam), "dimension",
+                      {"lambda": format_partition(lam)})
 
 
-def cmd_pieri(args) -> int:
+def cmd_pieri(args) -> Output:
     lam = parse_partition(args.lam)
-    decomp = deligne.pieri(lam)
-    entries = deligne.decomposition_to_json(decomp)
-    if args.json:
-        print(json.dumps({"lambda": format_partition(lam), "terms": entries}))
-        return 0
-    print(f"lambda = {format_partition(lam)}")
-    for entry in entries:
-        print(f"  [{entry['partition']}] x {entry['mult']}")
-    return 0
+    entries = deligne.decomposition_to_json(deligne.pieri(lam))
+    return ({"lambda": format_partition(lam), "terms": entries},
+            [f"lambda = {format_partition(lam)}"]
+            + [f"  [{entry['partition']}] x {entry['mult']}" for entry in entries])
 
 
-def cmd_omega(args) -> int:
+def cmd_omega(args) -> Output:
     lam = parse_partition(args.lam)
-    _emit_poly(args, deligne.jm_eigenvalue(lam), "eigenvalue",
-               {"lambda": format_partition(lam)})
-    return 0
+    return _poly_output(args, deligne.jm_eigenvalue(lam), "eigenvalue",
+                      {"lambda": format_partition(lam)})
 
 
-def cmd_omega_m(args) -> int:
+def cmd_omega_m(args) -> Output:
     lam = parse_partition(args.lam)
     rho = parse_cycle_type(args.rho)
-    _emit_poly(args, deligne.central_eigenvalue_poly(rho, lam), "eigenvalue",
-               {"lambda": format_partition(lam), "rho": args.rho.strip()})
-    return 0
+    return _poly_output(args, deligne.central_eigenvalue_poly(rho, lam), "eigenvalue",
+                      {"lambda": format_partition(lam), "rho": args.rho.strip()})
 
 
-def cmd_class_size(args) -> int:
+def cmd_class_size(args) -> Output:
     rho = parse_cycle_type(args.rho)
-    _emit_poly(args, deligne.class_size_poly(rho), "class_size",
-               {"rho": args.rho.strip()})
-    return 0
+    return _poly_output(args, deligne.class_size_poly(rho), "class_size",
+                      {"rho": args.rho.strip()})
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args) -> Output:
     from . import schurweyl
-    coefficients = tuple(int(piece) for piece in args.h.split(","))
+    coefficients = _counts(args.h)
     series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert(coefficients), args.deg)
     rows = [(k, series.coefficient((k,))) for k in range(args.deg + 1)]
-    if args.json:
-        print(json.dumps({
-            "h": args.h,
-            "deg": args.deg,
-            "coefficients": {str(k): poly_to_json(p) for k, p in rows},
-        }))
-        return 0
-    print(f"h(x) = {args.h}; coefficients of h(x)^t:")
-    for k, poly in rows:
-        print(f"  x^{k}: {poly}")
-    return 0
+    h = ",".join(map(str, coefficients))
+    return ({"h": h, "deg": args.deg,
+             "coefficients": {str(k): poly_to_json(p) for k, p in rows}},
+            [f"h(x) = {h}; coefficients of h(x)^t:"] + [f"  x^{k}: {p}" for k, p in rows])
 
 
-def cmd_verma(args) -> int:
+def cmd_verma(args) -> Output:
     from . import schurweyl
     lam = parse_partition(args.lam)
-    weight = schurweyl.VermaWeight(lam, args.space_dim)
-    triples = schurweyl.verma_candidates(weight, args.t_max)
+    triples = schurweyl.verma_candidates(schurweyl.VermaWeight(lam, args.space_dim), args.t_max)
     t_values = sorted({t for t, _, _ in triples})
-    if args.json:
-        print(json.dumps({
-            "lambda": format_partition(lam),
-            "N": args.space_dim,
-            "tMax": args.t_max,
-            "t": t_values,
-            "witnesses": [{"t": t, "i": i, "m": m} for t, i, m in triples],
-        }))
-        return 0
-    print(f"lambda = {format_partition(lam)}, N = {args.space_dim}, t <= {args.t_max}")
-    print("candidate integer ranks:", " ".join(map(str, t_values)) or "(none)")
-    return 0
+    return ({"lambda": format_partition(lam), "N": args.space_dim, "tMax": args.t_max,
+             "t": t_values, "witnesses": [{"t": t, "i": i, "m": m} for t, i, m in triples]},
+            [f"lambda = {format_partition(lam)}, N = {args.space_dim}, t <= {args.t_max}",
+             "candidate integer ranks: " + (" ".join(map(str, t_values)) or "(none)")])
 
 
-def cmd_branch(args) -> int:
+def cmd_branch(args) -> Output:
     from . import schurweyl
     lam = parse_partition(args.lam)
-    mus = schurweyl.interlacing_branch(lam, args.space_dim, args.max_size)
-    if args.json:
-        print(json.dumps({
-            "lambda": format_partition(lam),
-            "N": args.space_dim,
-            "bound": args.max_size,
-            "branches": [format_partition(mu) for mu in mus],
-        }))
-        return 0
-    print(f"lambda = {format_partition(lam)}, N = {args.space_dim}, |mu| <= {args.max_size}")
-    for mu in mus:
-        print(f"  [{format_partition(mu)}]")
-    return 0
+    mus = [format_partition(mu) for mu in
+           schurweyl.interlacing_branch(lam, args.space_dim, args.max_size)]
+    return ({"lambda": format_partition(lam), "N": args.space_dim, "bound": args.max_size,
+             "branches": mus},
+            [f"lambda = {format_partition(lam)}, N = {args.space_dim}, |mu| <= {args.max_size}"]
+            + [f"  [{mu}]" for mu in mus])
 
 
-def cmd_stirling(args) -> int:
+def cmd_stirling(args) -> Output:
     table = groupalg.coefficient_table(args.max_m)
-    if args.json:
-        print(json.dumps({str(m): poly_to_json(p) for m, p in table.items()}))
-        return 0
-    for m, poly in table.items():
-        print(f"  x^{m}: {poly}")
-    return 0
+    return ({str(m): poly_to_json(p) for m, p in table.items()},
+            [f"  x^{m}: {p}" for m, p in table.items()])
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> Output:
     from . import bounds
     report = bounds.bound_sweep(args.max_n)
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(f"n = {report.n}: {report.partition_count} partitions, "
-              f"min slack {report.min_slack} at [{format_partition(report.argmin)}], "
-              f"{'pass' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+    return (report.to_json(),
+            [f"n = {report.n}: {report.partition_count} partitions, "
+             f"min slack {report.min_slack} at [{format_partition(report.argmin)}], "
+             f"{'pass' if report.passed else 'FAIL'}"])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     from . import verify
     reports = verify.run_suites(args.suite, max_size=args.max_size,
                                 max_n=args.max_n, max_m=args.max_m,
                                 degree=args.deg)
-    failed = any(not r.passed for r in reports)
-    if args.json:
-        print(json.dumps({"pass": not failed, "suites": [r.to_json() for r in reports]}))
-    else:
-        for r in reports:
-            status = "pass" if r.passed else "FAIL"
-            print(f"{r.suite}: {r.checks} checks, {status} ({r.elapsed:.2f}s)")
-            for f in r.failures:
-                print(f"  FAIL {f.check} {f.where}: {f.detail}")
-    return 1 if failed else 0
+    lines = []
+    for r in reports:
+        lines.append(f"{r.suite}: {r.checks} checks, {'pass' if r.passed else 'FAIL'} ({r.elapsed:.2f}s)")
+        lines += [f"  FAIL {f.check} {f.where}: {f.detail}" for f in r.failures]
+    return {"pass": all(r.passed for r in reports), "suites": [r.to_json() for r in reports]}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,13 +221,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        payload, lines = args.handler(args)
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (NonDivisibleError, OutOfBoundsError, InvariantError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return COMPUTATION_ERROR
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 0 if payload.get("pass", True) else CHECK_FAILED
 
 
 if __name__ == "__main__":

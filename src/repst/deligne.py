@@ -12,8 +12,9 @@ quadratic) all go through exact.linear_product.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
+from operator import mul
 
 from . import partitions
 from .exact import (
@@ -129,9 +130,8 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
 
     # "alternating block": prod (1 - x_i) prod_{i>j} (1 - x_i/x_j), one
     # factor 1 - u_lo ... u_hi per interval 1 <= lo <= hi <= variables
-    alternating = TruncatedSeries.constant(bounds, 1)
-    for lo, hi in ((lo, hi) for hi in range(1, variables + 1) for lo in range(1, hi + 1)):
-        alternating = alternating * _interval_factor(bounds, lo, hi)
+    alternating = reduce(mul, (_interval_factor(bounds, lo, hi)
+                               for hi in range(1, variables + 1) for lo in range(1, hi + 1)))
 
     return convolve_coefficient(power_block, alternating, bounds)
 

@@ -539,10 +539,10 @@ class TruncatedSeries:
         series with constant term 0: the sum stops at the first power that
         truncation kills, self^(sum(bounds) + 1) at the latest."""
         result = _series(self.bounds, {(0,) * len(self.bounds): first})
-        power = _series(self.bounds, {(0,) * len(self.bounds): ONE})
-        c = first
+        power, c = self, first
         for k in range(1, sum(self.bounds) + 1):
-            power = power * self
+            if k > 1:
+                power = power * self
             if not power.terms:
                 break
             c = step(c, k)

@@ -61,7 +61,7 @@ class SuiteReport:
 
 
 def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
-                 max_m: int | None = None) -> SuiteReport:
+                 max_m: int = 5) -> SuiteReport:
     """Interpolated dimensions, central-element eigenvalues, and character
     values against honest S_n, plus integrality certificates.
 
@@ -74,7 +74,6 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
     dim_n = max_n if max_n is not None else 20
     cen_size = max_size if max_size is not None else 4
     cen_n = max_n if max_n is not None else 10
-    cen_m = max_m if max_m is not None else 5
 
     for lam in partitions_up_to(dim_size):
         dim, jm = deligne.dimension_poly(lam), deligne.jm_eigenvalue(lam)
@@ -87,7 +86,7 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
                 report.expect("jm-oracle", where, snoracle.central_eigenvalue(n, (1,), mu), jm(n))
         _certify(report, dim, "integrality-dim", {"lambda": format_partition(lam)})
 
-    cycle_types = snoracle.cycle_types_with_support_up_to(cen_m)
+    cycle_types = snoracle.cycle_types_with_support_up_to(max_m)
     for lam in partitions_up_to(cen_size):
         for rho in cycle_types:
             frob = deligne.frobenius_coefficient(lam, rho)
@@ -106,7 +105,7 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
         _certify(report, deligne.class_size_poly(rho), "integrality-class-size",
                  {"rho": format_cycle_type(rho)})
 
-    stab_types = snoracle.cycle_types_with_support_up_to(min(cen_m, 4))
+    stab_types = snoracle.cycle_types_with_support_up_to(min(max_m, 4))
     for lam in partitions_up_to(min(cen_size, 4)):
         for rho in stab_types:
             same = deligne.frobenius_coefficient(lam, rho) == \
@@ -127,12 +126,11 @@ def _certify(report: SuiteReport, poly: ExactPolynomial, check: str, where: dict
         report.record(False, check, where, str(err))
 
 
-def pieri_suite(*, max_size: int | None = None) -> SuiteReport:
+def pieri_suite(*, max_size: int = 8) -> SuiteReport:
     """(t - 1) * dim(lam) = sum of dims over the corner-move decomposition,
     as a polynomial identity, plus symmetry of the decomposition."""
     report = SuiteReport("pieri")
-    size = max_size if max_size is not None else 8
-    decomps = {lam: deligne.pieri(lam) for lam in partitions_up_to(size)}
+    decomps = {lam: deligne.pieri(lam) for lam in partitions_up_to(max_size)}
     for lam, decomp in decomps.items():
         lhs = (T - 1) * deligne.dimension_poly(lam)
         rhs = ExactPolynomial()
@@ -150,42 +148,39 @@ def pieri_suite(*, max_size: int | None = None) -> SuiteReport:
     return report
 
 
-def stirling_suite(*, max_n: int | None = None, max_m: int | None = None) -> SuiteReport:
+def stirling_suite(*, max_n: int = 13, max_m: int = 6) -> SuiteReport:
     """Filtered group-algebra Hilbert coefficients: interpolation route
     against elementary symmetric values beyond the nodes, agreement of the
     Gamma-ratio route, factorial row sums, integrality."""
     report = SuiteReport("stirling")
-    m_cap = max_m if max_m is not None else 6
-    n_cap = max_n if max_n is not None else 13
-    for m in range(m_cap + 1):
+    for m in range(max_m + 1):
         poly = groupalg.hilbert_coefficient(m)
-        table = groupalg.elementary_symmetric_table(m, list(range(1, n_cap)))
-        for n in range(2 * m + 1, n_cap + 1):
+        table = groupalg.elementary_symmetric_table(m, list(range(1, max_n)))
+        for n in range(2 * m + 1, max_n + 1):
             report.expect("stirling-values", {"m": m, "n": n}, table[n - 1][m], poly(n))
         gamma = groupalg.hilbert_coefficient_gamma(m)
         report.record(gamma == poly, "gamma-route", {"m": m},
                       f"interpolation gave {poly}, Gamma expansion gave {gamma}")
         _certify(report, poly, "integrality-stirling", {"m": m})
-    for n in range(min(9, n_cap) + 1):
+    for n in range(min(9, max_n) + 1):
         total = sum(groupalg.hilbert_coefficient(m)(n) for m in range(max(n, 1)))
         report.expect("stirling-row-sum", {"n": n}, factorial(n), total)
     return report
 
 
-def bounds_suite(*, max_n: int | None = None) -> SuiteReport:
+def bounds_suite(*, max_n: int = 18) -> SuiteReport:
     """Appendix inequalities: the dimension lower bound for every partition,
     the AM-GM step, and the long-row-or-column scan window."""
     report = SuiteReport("bounds")
-    n_cap = max_n if max_n is not None else 18
-    for n in range(1, n_cap + 1):
+    for n in range(1, max_n + 1):
         sweep = bounds.bound_sweep(n)
         report.record(sweep.passed, "dimension-bound", {"n": n},
                       f"min slack {sweep.min_slack} at {format_partition(sweep.argmin)}")
-    for n in range(1, min(12, n_cap) + 1):
+    for n in range(1, min(12, max_n) + 1):
         for mu in partitions.partitions_of(n):
             report.record(bounds.amgm_check(mu), "amgm",
                           {"mu": format_partition(mu)}, "inequality failed")
-    if n_cap >= 15:
+    if max_n >= 15:
         for n in range(10, 16):
             violations = bounds.lemma_scan(Fraction(1), 1, n)
             report.record(not violations, "lemma-scan", {"C": "1", "k": 1, "n": n},
@@ -193,19 +188,18 @@ def bounds_suite(*, max_n: int | None = None) -> SuiteReport:
     return report
 
 
-def graded_suite(*, degree: int | None = None) -> SuiteReport:
+def graded_suite(*, degree: int = 6) -> SuiteReport:
     """Tensor-power Hilbert series: binomial coefficients of (1+x)^t, the
     graded decomposition identity, the first filtration layer, and integer
     specializations."""
     report = SuiteReport("graded")
-    deg = degree if degree is not None else 6
     series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert((1, 1)), 10)
     for k in range(11):
         report.expect("binomial-series", {"k": k}, binomial_poly(0, k), series.coefficient((k,)))
     for d in (1, 2, 3):
-        outcome = schurweyl.graded_decomposition_check(d, deg)
+        outcome = schurweyl.graded_decomposition_check(d, degree)
         report.record(outcome.passed, "graded-decomposition",
-                      {"d": d, "D": deg},
+                      {"d": d, "D": degree},
                       f"first failing degree {outcome.first_failure}")
     for v in range(1, 6):
         poly = schurweyl.degree_one_dimension(v)
@@ -236,9 +230,10 @@ SUITES = {
 
 def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
     """Run one named suite, or all of them, with optional range overrides
-    (max_size, max_n, max_m, degree), timing each suite, which gets those
-    named by its keyword-only parameters.  Before any suite runs, an override
-    no chosen suite reads is a ValueError; the rest meet the enumeration cap."""
+    (max_size, max_n, max_m, degree), timing each suite.  A suite gets the
+    given overrides that its keyword-only parameters name, and its own
+    defaults for the rest.  Before any suite runs, an override no chosen
+    suite reads is a ValueError; the rest meet the enumeration cap."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     suites = list(SUITES.values()) if name == "all" else [SUITES[name]]
@@ -250,7 +245,7 @@ def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
     reports = []
     for suite in suites:
         start = perf_counter()
-        report = suite(**{key: limits.get(key) for key in suite.__kwdefaults__})
+        report = suite(**{key: given[key] for key in suite.__kwdefaults__ if key in given})
         report.elapsed = perf_counter() - start
         reports.append(report)
     return reports

@@ -339,6 +339,31 @@ def test_a_bound_below_the_dimension_fails_and_exits_1(capsys, monkeypatch):
     assert out.endswith(", FAIL\n")
 
 
+def _bound_below_the_dimension(monkeypatch):
+    from repst import bounds
+    monkeypatch.setattr(bounds, "hook_dim", lambda mu: 0)
+    return ["bounds", "--max-n", "5"]
+
+
+def _flipped_content_sign(monkeypatch):
+    import repst.partitions as partitions_module
+    original = partitions_module.content_sum
+    monkeypatch.setattr(partitions_module, "content_sum", lambda lam: -original(lam))
+    return ["verify", "--suite", "oracle", "--max-size", "2", "--max-n", "6", "--max-m", "2"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("breakage", [_bound_below_the_dimension, _flipped_content_sign],
+                         ids=["bounds", "verify"])
+def test_a_failed_check_exits_1_in_both_formats(capsys, monkeypatch, breakage, extra):
+    code, out, err = run_cli(capsys, *breakage(monkeypatch), *extra)
+    assert (code, err) == (1, "")
+    if extra:
+        assert json.loads(out)["pass"] is False
+    else:
+        assert ", FAIL" in out.splitlines()[0]
+
+
 # small arguments for every subcommand, so that each handler runs its own imports
 _EVERY_COMMAND = {
     "dim": ["--lambda", "2,1"],

@@ -9,6 +9,7 @@ from repst.exact import (
     NonDivisibleError,
     NotIntegerValuedError,
     T,
+    TruncatedSeries,
     binomial_poly,
 )
 from conftest import cycle_type_strategy, partition_strategy
@@ -193,3 +194,18 @@ def test_decomposition_json_roundtrip():
         {"partition": "3", "mult": 1}, {"partition": "2,1,1", "mult": 1},
         {"partition": "2,2", "mult": 1}, {"partition": "3,1", "mult": 1},
     ]
+
+
+@pytest.mark.parametrize("lam, rho", [((2, 1), (1,)), ((1, 1, 1), (0, 1)), ((3,), (2,))])
+def test_frobenius_takes_no_product_by_the_one_series(lam, rho, monkeypatch):
+    expected = dl.frobenius_coefficient(lam, rho)
+    operands = []
+    multiply = TruncatedSeries.__mul__
+
+    def recording(a, b):
+        operands.extend((a, b))
+        return multiply(a, b)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+    assert dl.frobenius_coefficient.__wrapped__(lam, rho) == expected
+    assert operands
+    assert not [x for x in operands if x == TruncatedSeries.constant(x.bounds, 1)]

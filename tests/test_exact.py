@@ -508,6 +508,24 @@ def test_power_takes_the_binary_method_products(base, n, products, monkeypatch):
     assert len(calls) == products
 
 
+# u = x at bound (5,) in both: the expansion takes x^2 ... x^5, and x^1 is u itself
+@pytest.mark.parametrize("expand", [
+    lambda: TruncatedSeries((5,), {(0,): 1, (1,): 1}).pow_poly(T),
+    lambda: TruncatedSeries((5,), {(1,): 1}).exp(),
+], ids=["pow_poly", "exp"])
+def test_power_series_takes_no_product_by_one(expand, monkeypatch):
+    expected = expand()
+    calls = []
+    multiply = TruncatedSeries.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return multiply(a, b)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    assert expand() == expected
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("base, kind", zip(POWER_BASES, ["polynomial", "series"]))
 def test_negative_power_is_a_value_error(base, kind):
     with pytest.raises(ValueError, match=f"negative {kind} power"):

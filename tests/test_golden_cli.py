@@ -41,6 +41,7 @@ COMMANDS = [
     ["class-size", "--rho", ""],
     ["hilbert", "--h", "1,1", "--deg", "10"],
     ["hilbert", "--h", "1,2,1", "--deg", "4"],
+    ["hilbert", "--h", " 1, 1", "--deg", "3"],
     ["verma", "--lambda", "1", "--N", "4", "--t-max", "10"],
     ["verma", "--lambda", "2,1", "--N", "3", "--t-max", "12"],
     ["branch", "--lambda", "1", "--N", "3", "--max-size", "4"],
@@ -60,6 +61,7 @@ COMMANDS = [
     ["pieri", "--lambda", "0"],
     ["class-size", "--rho", "-1"],
     ["omega-m", "--rho", "x", "--lambda", "1"],
+    ["hilbert", "--h", ""],
 ]
 
 _ELAPSED = re.compile(r'"elapsed": [0-9.e+-]+')
@@ -93,6 +95,10 @@ def test_golden_file_covers_every_subcommand_in_both_formats():
     parser_commands = set(cli.build_parser()._subparsers._group_actions[0].choices)
     recorded = {(case["args"][0], "--json" in case["args"]) for case in _cases()}
     assert recorded == {(name, as_json) for name in parser_commands for as_json in (False, True)}
+
+
+def test_golden_file_records_every_command_in_order():
+    assert [case["args"] for case in _cases()] == [args + extra for args in COMMANDS for extra in ([], ["--json"])]
 
 
 if __name__ == "__main__":
