@@ -63,6 +63,7 @@ COMMANDS = [
     ["omega-m", "--rho", "x", "--lambda", "1"],
     ["hilbert", "--h", ""],
 ]
+RECORDED_ARGS = [args + extra for args in COMMANDS for extra in ([], ["--json"])]
 
 _ELAPSED = re.compile(r'"elapsed": [0-9.e+-]+')
 _SECONDS = re.compile(r"\(\d+\.\d\ds\)")
@@ -98,12 +99,12 @@ def test_golden_file_covers_every_subcommand_in_both_formats():
 
 
 def test_golden_file_records_every_command_in_order():
-    assert [case["args"] for case in _cases()] == [args + extra for args in COMMANDS for extra in ([], ["--json"])]
+    assert [case["args"] for case in _cases()] == RECORDED_ARGS
 
 
 if __name__ == "__main__":
     os.environ.pop("REPST_LIMITS", None)
-    cases = [_run(args + extra) for args in COMMANDS for extra in ([], ["--json"])]
+    cases = [_run(args) for args in RECORDED_ARGS]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)
