@@ -8,6 +8,11 @@ an inequality derived by peeling the first row (or column) off the diagram
 and bounding the correction factor with the AM-GM inequality.  Everything
 here is checked in exact rational arithmetic; only the finite inequalities
 are implemented, never their asymptotic consequences.
+
+Conjugation fixes both hook_dim(mu) and d, so the sweeps over all mu of n
+compute hook_dim only for mu with mu_1 >= len(mu), one of each conjugate
+pair, and stream the partitions through iter_partitions instead of keeping
+them in the partitions_of cache.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 from math import comb, floor, prod
 
 from .exact import rational_to_json
-from .partitions import Partition, conjugate, format_partition, partitions_of
+from .partitions import Partition, conjugate, format_partition, iter_partitions
 from .snoracle import SizeMismatchError, hook_dim
 
 
@@ -89,43 +94,60 @@ class BoundSweepReport:
 def bound_sweep(n: int) -> BoundSweepReport:
     """Check hook_dim(mu) >= dimension_lower_bound(n, mu) for every mu of n,
     reporting the minimum slack (dimension minus bound) and the first mu,
-    in enumeration order, that attains it."""
+    in enumeration order, that attains it.
+
+    The bound depends on mu only through d, so per d only the first mu of
+    least dimension can attain the minimum slack.  That mu has mu_1 >= len(mu):
+    its conjugate has the same d and dimension, and of two conjugates the one
+    with the longer first row comes first.  So hook_dim is computed only for
+    mu_1 >= len(mu), while every mu is still counted and keeps its position."""
     if n < 1:
         raise ValueError("n must be positive")
-    mus = partitions_of(n)
-    # the bound depends on mu only through d, so per d only the first mu of
-    # least dimension can attain the minimum slack
     least: dict[int, tuple[int, int, Partition]] = {}  # d -> (dim, position, mu)
-    for position, mu in enumerate(mus):
-        d = max(mu[0], len(mu))
+    count = 0
+    for position, mu in enumerate(iter_partitions(n)):
+        count += 1
+        d = mu[0]
+        if d < len(mu):
+            continue
         dim = hook_dim(mu)
         best = least.get(d)
         if best is None or dim < best[0]:
             least[d] = (dim, position, mu)
     min_slack, _, argmin = min((dim - dimension_lower_bound(n, mu), position, mu)
                                for dim, position, mu in least.values())
-    return BoundSweepReport(n, len(mus), min_slack, argmin)
+    return BoundSweepReport(n, count, min_slack, argmin)
 
 
 def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     """Partitions of n with hook_dim <= c * n^k whose first row AND first
-    column are both shorter than n - k.
+    column are both shorter than n - k, in enumeration order.
 
     An empty list means the low-dimension irreducibles at this n are all
     hooks-with-long-arm-or-leg; nonempty lists are expected at small n since
     the statement is only eventually true.
+
+    The filter is unchanged by conjugation, so only mu with mu_1 >= len(mu)
+    are tested, and a hit with mu_1 > len(mu) brings its conjugate along.
     """
     if n < 1:
         raise SizeMismatchError(f"lemma_scan needs n >= 1, got {n}")
     # hook_dim is an integer, so comparing it with the floor is exact
     threshold = floor(Fraction(c) * Fraction(n) ** k)
-    return [mu for mu in partitions_of(n)
-            if mu[0] < n - k and len(mu) < n - k and hook_dim(mu) <= threshold]
+    found = []
+    for mu in iter_partitions(n):
+        if len(mu) <= mu[0] < n - k and hook_dim(mu) <= threshold:
+            found.append(mu)
+            if mu[0] > len(mu):
+                found.append(conjugate(mu))
+    # descending lexicographic order is the enumeration order
+    return sorted(found, reverse=True)
 
 
 def find_threshold(c: Fraction, k: int, n_max: int) -> int | None:
     """Smallest N such that lemma_scan(c, k, n) is empty for every
-    N <= n <= n_max, or None if even n_max has violations."""
+    N <= n <= n_max, or None if even n_max has violations.  Each n is
+    streamed, so a scan to the cap caches no partitions."""
     threshold = None
     for n in range(n_max, 0, -1):
         if lemma_scan(c, k, n):

@@ -32,10 +32,12 @@ Output = tuple[dict, list[str]]  # (JSON payload, text lines); empty lines would
 
 
 def _parse_rational(text: str) -> Fraction:
+    # argparse prints the message of an ArgumentTypeError; any other error
+    # becomes its own "invalid <function name> value"
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
-        raise ValueError(f"not a rational number: {text!r}") from err
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from err
 
 
 def _poly_output(args, poly, label: str, extra: dict) -> Output:

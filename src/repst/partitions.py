@@ -221,19 +221,19 @@ def b_set(lam: Partition) -> frozenset[int]:
     return frozenset((lam[i] if i < len(lam) else 0) + n - 1 - i for i in range(n))
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(n: int) -> tuple[Partition, ...]:
+def _zs1(n: int) -> Iterator[Partition]:
     """Partitions of n, descending lexicographically, by the ZS1 algorithm
     (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998).  The parts
     live in one list whose entries after index h, the last part above 1,
     are all 1; each step lowers x[h] by one and refills the cells after it
     greedily with parts of at most the new x[h]."""
     if n == 0:
-        return ((),)
+        yield ()
+        return
     x = [1] * n
     x[0] = n
     m, h = 1, 0  # number of parts, index of the last part above 1
-    result = [(n,)]
+    yield (n,)
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
@@ -254,12 +254,28 @@ def _partitions_of(n: int) -> tuple[Partition, ...]:
                 if t > 1:
                     h += 1
                     x[h] = t
-        result.append(tuple(x[:m]))
-    return tuple(result)
+        yield tuple(x[:m])
+
+
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """The partitions of n one at a time, in the order of partitions_of(n),
+    holding only the current one.  The cap is checked here, at the call,
+    not at the first next().  For one pass over a large n, where the cached
+    partitions_of would keep all p(n) of them for the life of the process."""
+    check_size_cap("n", n)
+    return _zs1(n)
+
+
+@lru_cache(maxsize=None)
+def _partitions_of(n: int) -> tuple[Partition, ...]:
+    """partitions_of(n) past its cap check."""
+    return tuple(_zs1(n))
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, descending lexicographically, each exactly once."""
+    """All partitions of n, descending lexicographically, each exactly once.
+    Cached: for callers that visit the same n again or need a sequence;
+    a single pass should use iter_partitions."""
     check_size_cap("n", n)
     return _partitions_of(n)
 

@@ -126,6 +126,31 @@ def test_lemma_scan_filter_self_consistency(c, k, n):
         assert sn.hook_dim(mu) <= c * Fraction(n) ** k
 
 
+SCAN_BUDGETS = [(Fraction(c), k) for c in (1, 2, 10) for k in range(4)]
+
+
+def test_lemma_scan_matches_the_per_partition_filter_on_every_default_budget():
+    # the budgets of scripts/scan_thresholds.py; the range holds
+    # self-conjugate hits such as (2, 2) and (3, 2, 1)
+    seen = set()
+    for n in range(1, 23):
+        dims = {mu: sn.hook_dim(mu) for mu in pt.partitions_of(n)}
+        for c, k in SCAN_BUDGETS:
+            expected = [mu for mu, dim in dims.items()
+                        if dim <= c * Fraction(n) ** k and mu[0] < n - k and len(mu) < n - k]
+            assert bd.lemma_scan(c, k, n) == expected, (c, k, n)
+            seen.update(expected)
+    assert {(2, 2), (3, 2, 1)} <= seen
+
+
+def test_sweeps_leave_the_partition_cache_empty():
+    pt._partitions_of.cache_clear()
+    bd.bound_sweep(30)
+    bd.lemma_scan(Fraction(1), 1, 30)
+    bd.find_threshold(Fraction(1), 1, 30)
+    assert pt._partitions_of.cache_info().currsize == 0
+
+
 def test_find_threshold():
     assert bd.find_threshold(Fraction(1), 0, 12) == 1
     threshold = bd.find_threshold(Fraction(1), 1, 15)

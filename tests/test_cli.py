@@ -161,6 +161,23 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("dim", "--lambda", "2"), ("omega", "--lambda", "2,1"),
+    ("omega-m", "--lambda", "2"), ("class-size", "--rho", "1")])
+@pytest.mark.parametrize("t_eval", ["1/0", "abc"])
+def test_a_malformed_t_eval_exits_2_naming_the_value(capsys, command, flag, value, t_eval):
+    argv = [command, flag, value, "--t-eval", t_eval]
+    if command == "omega-m":
+        argv += ["--rho", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"repst {command}: error: argument --t-eval: not a rational number: '{t_eval}'")
+
+
 def test_stirling_negative_max_m_exits_2(capsys):
     code, out, err = run_cli(capsys, "stirling", "--max-m", "-1")
     assert code == 2

@@ -37,6 +37,12 @@ def test_scan_thresholds_finds_seven_for_one_box_budget():
     assert result.stdout.splitlines()[1].split() == ["1", "1", "7", "n=6:", "[3,3]", "[2,2,2]"]
 
 
+def test_scan_thresholds_runs_to_the_enumeration_cap():
+    result = run_script("scan_thresholds.py", "--n-max", "40", "--c", "1", "--k", "1")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[1].split() == ["1", "1", "7", "n=6:", "[3,3]", "[2,2,2]"]
+
+
 @pytest.mark.parametrize("name, args, message", [
     ("export_tables.py", ["--max-size", "-1", "--max-m", "3"], "max_size must be nonnegative, got -1"),
     ("export_tables.py", ["--max-size", "3", "--max-m", "-1"], "max_m must be nonnegative, got -1"),

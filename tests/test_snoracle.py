@@ -27,6 +27,14 @@ def test_hook_dim_conjugation_invariant(mu):
     assert sn.hook_dim(mu) == sn.hook_dim(pt.conjugate(mu))
 
 
+def test_hook_dim_is_conjugation_invariant_for_every_partition_through_16():
+    # bounds.bound_sweep and bounds.lemma_scan compute hook_dim for one
+    # partition of each conjugate pair and rest on this
+    for n in range(17):
+        for mu in pt.partitions_of(n):
+            assert sn.hook_dim(mu) == sn.hook_dim(pt.conjugate(mu)), mu
+
+
 def test_hook_dim_non_dividing_hook_product_is_a_typed_error(monkeypatch):
     # every factorial becomes 7: 7 * (3 - 1) is not divisible by 7 * 7
     monkeypatch.setattr(sn, "factorial", lambda k: 7)
