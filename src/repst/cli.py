@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from . import deligne, groupalg
 from .exact import NonDivisibleError, OutOfBoundsError, poly_to_json, rational_to_json, to_binomial_basis
-from .partitions import InvariantError, _counts, format_partition, parse_cycle_type, parse_partition
+from .partitions import (InvariantError, _counts, format_cycle_type, format_partition, parse_cycle_type,
+                         parse_partition)
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -76,13 +77,12 @@ def cmd_omega_m(args) -> Output:
     lam = parse_partition(args.lam)
     rho = parse_cycle_type(args.rho)
     return _poly_output(args, deligne.central_eigenvalue_poly(rho, lam), "eigenvalue",
-                      {"lambda": format_partition(lam), "rho": args.rho.strip()})
+                      {"lambda": format_partition(lam), "rho": format_cycle_type(rho)})
 
 
 def cmd_class_size(args) -> Output:
     rho = parse_cycle_type(args.rho)
-    return _poly_output(args, deligne.class_size_poly(rho), "class_size",
-                      {"rho": args.rho.strip()})
+    return _poly_output(args, deligne.class_size_poly(rho), "class_size", {"rho": format_cycle_type(rho)})
 
 
 def cmd_hilbert(args) -> Output:

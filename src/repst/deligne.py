@@ -155,9 +155,9 @@ def certify_integer_valued(p: ExactPolynomial) -> BinomialBasisPolynomial:
     otherwise; a success is a proof that p maps integers to integers.
     """
     b = to_binomial_basis(p)
-    bad = b.first_fractional()
-    if bad is not None:
-        raise NotIntegerValuedError(*bad)
+    for j, c in enumerate(b.coeffs):
+        if c.denominator != 1:
+            raise NotIntegerValuedError(j, c)
     return b
 
 

@@ -18,6 +18,10 @@ Representations:
   TruncatedSeries          sparse dict mapping exponent tuples to nonzero
                            ExactPolynomial, truncated per variable; the
                            operands of one operation share their bounds
+
+Newton's forward-difference formula links the values at t = 0..N and the
+binom(t, j) coefficients; the one kernel _forward_differences serves both
+to_binomial_basis and its inverse, lagrange_interpolate.
 """
 
 from __future__ import annotations
@@ -83,9 +87,6 @@ class ExactPolynomial:
     def degree(self) -> int:
         """Degree, with the zero polynomial given degree -1."""
         return len(self.nums) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def __call__(self, value: Scalar) -> Fraction:
         p, q = _ratio(value)
@@ -339,13 +340,6 @@ class BinomialBasisPolynomial:
                 p = p + binomial_poly(0, j).scale(c)
         return p
 
-    def first_fractional(self):
-        """(index, coefficient) of the first non-integer coefficient, or None."""
-        for j, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                return j, c
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, BinomialBasisPolynomial):
             return NotImplemented
@@ -361,46 +355,29 @@ class BinomialBasisPolynomial:
         return format_terms(self.coeffs, lambda k: "" if k == 0 else f"binom(t,{k})")
 
 
+def _forward_differences(values: Sequence[Scalar]) -> list[Scalar]:
+    """[v_0, dv_0, d^2 v_0, ...] for values v_n at t = n = 0, 1, ..., d the
+    forward difference: by Newton's formula, the coefficients over binom(t, j)
+    of the polynomial through them.  Integer values give integer differences."""
+    diffs = list(values)
+    for j in range(1, len(diffs)):
+        # diffs[i] = d^(j-1) v_(i-j+1) becomes d^j v_(i-j), for i >= j
+        for i in range(len(diffs) - 1, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    return diffs
+
+
 def to_binomial_basis(p: ExactPolynomial) -> BinomialBasisPolynomial:
-    """Expand p over binom(t, j) via the forward-difference table at 0, 1, 2, ...
-
-    The j-th coefficient is the j-th forward difference of p at 0; the
-    conversion is exact and inverse to BinomialBasisPolynomial.to_monomial.
-    """
-    if p.is_zero:
-        return BinomialBasisPolynomial()
-    row = [p(i) for i in range(p.degree + 1)]
-    coeffs = [row[0]]
-    while len(row) > 1:
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        coeffs.append(row[0])
-    return BinomialBasisPolynomial(coeffs)
+    """Expand p over binom(t, j): the forward differences of its values at
+    t = 0..deg p.  Exact, and inverse to BinomialBasisPolynomial.to_monomial."""
+    return BinomialBasisPolynomial(_forward_differences([p(n) for n in range(p.degree + 1)]))
 
 
-def lagrange_interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> ExactPolynomial:
-    """Unique polynomial of degree < len(points) through the given points.
-
-    Newton's divided-difference form, all arithmetic exact.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    ys = [Fraction(y) for _, y in points]
-    # divided differences: table[j] holds f[x_i..x_{i+j}] as we sweep
-    coeffs = [ys[0]]
-    column = list(ys)
-    for j in range(1, len(points)):
-        column = [
-            (column[i + 1] - column[i]) / (xs[i + j] - xs[i])
-            for i in range(len(column) - 1)
-        ]
-        coeffs.append(column[0])
-    poly = ZERO
-    basis = ONE
-    for j, c in enumerate(coeffs):
-        poly = poly + basis.scale(c)
-        basis = basis * ExactPolynomial((-xs[j], 1))
-    return poly
+def lagrange_interpolate(values: Sequence[Scalar]) -> ExactPolynomial:
+    """The unique polynomial of degree < len(values) that takes values[n] at
+    t = n for n = 0, 1, ...: the inverse of reading p off at t = 0..deg p,
+    through the same forward differences as to_binomial_basis."""
+    return BinomialBasisPolynomial(_forward_differences(values)).to_monomial()
 
 
 # --- JSON serialization -----------------------------------------------------

@@ -8,8 +8,9 @@ what the formal-rank series interpolates.
 
 Two independent routes are provided:
 
-  hilbert_coefficient        Lagrange interpolation of e_m(1,...,n-1)
-                             through the 2m+1 nodes n = 0..2m
+  hilbert_coefficient        the values e_m(1,...,n-1) at n = 0..2m,
+                             turned into the polynomial by their forward
+                             differences (exact.lagrange_interpolate)
   hilbert_coefficient_gamma  term extraction from exp of the asymptotic
                              log-Gamma difference series, whose coefficients
                              are Bernoulli polynomials
@@ -23,11 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exact import (
-    ExactPolynomial,
-    TruncatedSeries,
-    lagrange_interpolate,
-)
+from .exact import ExactPolynomial, TruncatedSeries, lagrange_interpolate
 from .partitions import check_size_cap
 
 
@@ -51,9 +48,8 @@ def hilbert_coefficient(m: int) -> ExactPolynomial:
     if m < 0:
         raise ValueError("m must be nonnegative")
     table = elementary_symmetric_table(m, list(range(1, 2 * m + 1)))
-    # node n contributes e_m over {1, ..., n-1}, i.e. the first n-1 values
-    points = [(n, table[max(n - 1, 0)][m]) for n in range(2 * m + 1)]
-    return lagrange_interpolate(points)
+    # rank n contributes e_m over {1, ..., n-1}, i.e. the first n-1 values
+    return lagrange_interpolate([table[max(n - 1, 0)][m] for n in range(2 * m + 1)])
 
 
 @lru_cache(maxsize=None)

@@ -74,6 +74,14 @@ def test_class_size_eval(capsys):
     assert "20" in out
 
 
+def test_rho_is_echoed_as_parsed(capsys):
+    code, out, _ = run_cli(capsys, "class-size", "--rho", " 0,  1", "--json")
+    assert code == 0 and json.loads(out)["rho"] == "0,1"
+    for command in (["class-size"], ["omega-m", "--lambda", "2"]):
+        answers = [run_cli(capsys, *command, "--rho", rho, "--json") for rho in ("1,0", "1")]
+        assert answers[0] == answers[1] and json.loads(answers[0][1])["rho"] == "1"
+
+
 def test_hilbert_table(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--h", "1,1", "--deg", "3", "--json")
     assert code == 0

@@ -131,11 +131,9 @@ def test_integer_binomial_combinations_are_integer_valued(coeffs):
 
 
 def test_integer_valued_detection():
-    half_t = T.scale(Fraction(1, 2))
-    b = to_binomial_basis(half_t)
-    index, value = b.first_fractional()
-    assert index == 1 and value == Fraction(1, 2)
-    assert to_binomial_basis(T * (T - 1)).first_fractional() is None
+    # t/2 = 1/2 binom(t,1): the fractional coefficient sits at index 1
+    assert to_binomial_basis(T.scale(Fraction(1, 2))).coeffs == (0, Fraction(1, 2))
+    assert to_binomial_basis(T * (T - 1)).coeffs == (0, 0, 2)
 
 
 @given(p=polynomials)
@@ -150,12 +148,25 @@ def test_json_uses_decimal_strings():
     assert data == {"basis": "monomial", "coeffs": [["0", "1"], ["-7", "3"]]}
 
 
-def test_lagrange_interpolation_matches_nodes():
-    pts = [(0, 0), (1, 0), (2, 1), (3, 3)]
-    p = lagrange_interpolate(pts)
-    assert p == binomial_poly(0, 2)
-    with pytest.raises(ValueError):
-        lagrange_interpolate([(0, 1), (0, 2)])
+def test_lagrange_interpolation_known_values():
+    assert lagrange_interpolate([0, 0, 1, 3]) == binomial_poly(0, 2)
+    assert lagrange_interpolate([]) == ExactPolynomial()
+
+
+@given(p=polynomials)
+def test_lagrange_interpolation_inverts_the_values_at_0_to_deg(p):
+    assert lagrange_interpolate([p(n) for n in range(p.degree + 1)]) == p
+
+
+@given(values=st.lists(fractions, max_size=10))
+def test_interpolant_binomial_coefficients_are_forward_differences(values):
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    while diffs and diffs[-1] == 0:
+        diffs.pop()
+    assert to_binomial_basis(lagrange_interpolate(values)).coeffs == tuple(diffs)
 
 
 def test_polynomial_str():
@@ -272,7 +283,7 @@ def test_mixed_scalar_arithmetic_and_zero():
     assert sum([T, T, ONE]) == T.scale(2) + 1
     assert ExactPolynomial((Fraction(1, 2), Fraction(1, 3))).nums == (3, 2)
     assert ExactPolynomial((Fraction(1, 2), Fraction(1, 3))).den == 6
-    assert ExactPolynomial((4,)).coefficient(0) == 4 and T.coefficient(5) == 0
+    assert ExactPolynomial((4,)).coeffs == (4,) and T.coeffs == (0, 1)
     assert ExactPolynomial()(Fraction(1, 3)) == 0
 
 

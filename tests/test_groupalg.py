@@ -6,13 +6,35 @@ from hypothesis import given, strategies as st
 
 from repst import groupalg as ga
 from repst.deligne import certify_integer_valued
-from repst.exact import T
+from repst.exact import T, ZERO, binomial_poly
 
 
 def e_m_of_initial_integers(m, n):
     """Elementary symmetric polynomial e_m(1, ..., n-1), directly."""
     table = ga.elementary_symmetric_table(m, list(range(1, n)))
     return table[max(n - 1, 0)][m]
+
+
+def second_order_eulerian(n_max):
+    """Rows n = 0..n_max of <<n,k>>, k = 0..n, by the recurrence
+    <<0,0>> = 1 and <<n,k>> = (k+1) <<n-1,k>> + (2n-1-k) <<n-1,k-1>>."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([(k + 1) * prev[k] + (2 * n - 1 - k) * (prev[k - 1] if k else 0)
+                     for k in range(n + 1)])
+    return rows
+
+
+def test_hilbert_coefficient_is_the_second_order_eulerian_sum():
+    # Graham-Knuth-Patashnik, Concrete Mathematics, eq. 6.44:
+    # e_m(1, ..., t-1) = [t, t-m] = sum_k <<m,k>> binom(t + k, 2m), an identity
+    # of polynomials, so it holds at every t and not only at the ranks 0..2m
+    eulerian = second_order_eulerian(12)
+    assert eulerian[3] == [1, 8, 6, 0] and eulerian[4] == [1, 22, 58, 24, 0]  # GKP Table 6.2
+    for m in range(1, 13):
+        closed_form = sum((binomial_poly(k, 2 * m).scale(e) for k, e in enumerate(eulerian[m])), ZERO)
+        assert ga.hilbert_coefficient(m) == closed_form, m
 
 
 def test_bernoulli_numbers():
