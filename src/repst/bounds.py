@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, prod
 
-from .exact import rational_to_json
+from .exact import _ratio, rational_to_json
 from .partitions import Partition, conjugate, format_partition, iter_partitions
 from .snoracle import SizeMismatchError, hook_dim
 
@@ -133,7 +133,7 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     if n < 1:
         raise SizeMismatchError(f"lemma_scan needs n >= 1, got {n}")
     # hook_dim is an integer, so comparing it with the floor is exact
-    threshold = floor(Fraction(c) * Fraction(n) ** k)
+    threshold = floor(Fraction(*_ratio(c)) * Fraction(n) ** k)
     found = []
     for mu in iter_partitions(n):
         if len(mu) <= mu[0] < n - k and hook_dim(mu) <= threshold:

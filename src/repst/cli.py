@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every operation of the library is reachable as a subcommand, with
-human-readable output by default and a stable JSON schema under --json.
+human-readable output by default and a stable JSON schema under --json,
+the appendix threshold scan (`thresholds`) and table export (`tables`) too.
 Each `cmd_*` handler only computes: it returns `(payload, lines)`, the JSON
 object and the text lines of its answer, and `main` alone prints one of
 them and picks the exit code.
@@ -22,8 +23,8 @@ from fractions import Fraction
 
 from . import deligne, groupalg
 from .exact import NonDivisibleError, OutOfBoundsError, poly_to_json, rational_to_json, to_binomial_basis
-from .partitions import (InvariantError, _counts, format_cycle_type, format_partition, parse_cycle_type,
-                         parse_partition)
+from .partitions import (InvariantError, _counts, check_size_cap, format_cycle_type, format_partition,
+                         parse_cycle_type, parse_partition, partitions_up_to)
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -133,6 +134,43 @@ def cmd_bounds(args) -> Output:
              f"{'pass' if report.passed else 'FAIL'}"])
 
 
+def cmd_thresholds(args) -> Output:
+    from . import bounds
+    check_size_cap("n_max", args.n_max)
+    budgets = []
+    lines = [f"{'C':>6} {'k':>3} {'threshold':>10}  last counterexamples"]
+    for c in args.c:
+        for k in args.k:
+            threshold = bounds.find_threshold(c, k, args.n_max)
+            last = bounds.lemma_scan(c, k, threshold - 1) if threshold and threshold > 1 else []
+            budgets.append({"c": rational_to_json(c), "k": k, "threshold": threshold,
+                            "last": [format_partition(mu) for mu in last]})
+            row = f"{str(c):>6} {k:>3} {'> ' + str(args.n_max) if threshold is None else threshold:>10}"
+            if threshold == 1:
+                row += "  (none anywhere)"
+            elif last:
+                row += f"  n={threshold - 1}: " + " ".join(f"[{format_partition(mu)}]" for mu in last[:4])
+                if len(last) > 4:
+                    row += f", ... ({len(last)} total)"
+            lines.append(row)
+    return {"nMax": args.n_max, "budgets": budgets}, lines
+
+
+def cmd_tables(args) -> Output:
+    from .snoracle import cycle_types_with_support_up_to
+    check_size_cap("max_size", args.max_size)
+    check_size_cap("max_m", args.max_m)
+    lams = list(partitions_up_to(args.max_size))
+    tables = {
+        "dimensions": {format_partition(lam): deligne.dimension_poly(lam) for lam in lams},
+        "jm_eigenvalues": {format_partition(lam): deligne.jm_eigenvalue(lam) for lam in lams},
+        "class_sizes": {format_cycle_type(rho): deligne.class_size_poly(rho)
+                        for rho in cycle_types_with_support_up_to(args.max_m)},
+    }
+    return ({name: {key: poly_to_json(p) for key, p in table.items()} for name, table in tables.items()},
+            [f"{name}[{key}] = {p}" for name, table in tables.items() for key, p in table.items()])
+
+
 def cmd_verify(args) -> Output:
     from . import verify
     reports = verify.run_suites(args.suite, max_size=args.max_size,
@@ -158,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    def lam_flag(p, required=True):
-        p.add_argument("--lambda", dest="lam", required=required, default="",
+    def lam_flag(p):
+        p.add_argument("--lambda", dest="lam", required=True,
                        help='partition as comma-separated parts, "" for empty')
 
     def rho_flag(p):
@@ -207,6 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bounds", cmd_bounds, "dimension lower-bound sweep over all partitions of n")
     p.add_argument("--max-n", type=int, default=12, help="size to sweep")
 
+    p = add("thresholds", cmd_thresholds,
+            "smallest n from which every irreducible of dimension <= C n^k has a "
+            "first row or column of length >= n - k")
+    p.add_argument("--n-max", type=int, default=20, help="largest n to scan")
+    p.add_argument("--c", type=_parse_rational, nargs="*", default=[Fraction(1), Fraction(2), Fraction(10)],
+                   help="rational budget constants C")
+    p.add_argument("--k", type=int, nargs="*", default=[0, 1, 2, 3], help="budget exponents k")
+
+    p = add("tables", cmd_tables, "dimension, Jucys-Murphy eigenvalue and class-size tables")
+    p.add_argument("--max-size", type=int, default=5, help="largest |lambda|")
+    p.add_argument("--max-m", type=int, default=5, help="largest number of moved points")
+
     p = add("verify", cmd_verify, "run a batch verification suite (exit 1 on any failure)")
     p.add_argument("--suite", required=True,
                    choices=["bounds", "graded", "oracle", "pieri", "stirling", "all"],
@@ -224,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, lines = args.handler(args)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (NonDivisibleError, OutOfBoundsError, InvariantError) as err:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from operator import index
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -72,7 +73,7 @@ def check_size_cap(name: str, value: int) -> None:
 
 def check_partition(parts) -> Partition:
     """Validate and normalize an iterable of parts into a Partition."""
-    lam = tuple(int(p) for p in parts)
+    lam = tuple(index(p) for p in parts)
     if any(p <= 0 for p in lam):
         raise ValueError(f"partition parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -99,7 +100,7 @@ def format_partition(lam: Partition) -> str:
 
 
 def check_cycle_type(counts) -> CycleType:
-    rho = tuple(int(c) for c in counts)
+    rho = tuple(index(c) for c in counts)
     if any(c < 0 for c in rho):
         raise ValueError(f"cycle counts must be nonnegative: {rho}")
     while rho and rho[-1] == 0:

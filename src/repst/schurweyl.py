@@ -12,12 +12,11 @@ highest-weight module can degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 
 from . import deligne
-from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries
+from .exact import BadConstantTermError, ExactPolynomial, Scalar, T, TruncatedSeries, _ratio
 from .partitions import (InvariantError, Partition, cells, check_size_cap, format_partition,
                          hook_product, partitions_of)
 
@@ -166,14 +165,14 @@ def candidate_t_values(weight: VermaWeight, t_max: int) -> set[int]:
     return {t for t, _, _ in verma_candidates(weight, t_max)}
 
 
-def irreducible_guaranteed(t: Fraction | int, weight: VermaWeight) -> bool:
+def irreducible_guaranteed(t: Scalar, weight: VermaWeight) -> bool:
     """True when the highest-weight module at this t is certainly
     irreducible: t not a nonnegative integer, or a nonnegative integer
     outside every row window of the candidate list.  False only means "not excluded"."""
-    t = Fraction(t)
-    if t.denominator != 1 or t < 0:
+    p, q = _ratio(t)
+    if q != 1 or p < 0:
         return True
-    return not any(lo <= t <= hi for _, lo, hi in _row_windows(weight, int(t)))
+    return not any(lo <= p <= hi for _, lo, hi in _row_windows(weight, p))
 
 
 def interlacing_branch(lam: Partition, space_dim: int, size_bound: int) -> list[Partition]:

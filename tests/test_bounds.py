@@ -130,7 +130,7 @@ SCAN_BUDGETS = [(Fraction(c), k) for c in (1, 2, 10) for k in range(4)]
 
 
 def test_lemma_scan_matches_the_per_partition_filter_on_every_default_budget():
-    # the budgets of scripts/scan_thresholds.py; the range holds
+    # the default budgets of `repst thresholds`; the range holds
     # self-conjugate hits such as (2, 2) and (3, 2, 1)
     seen = set()
     for n in range(1, 23):

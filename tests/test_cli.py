@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repst import cli, deligne, verify
+from repst import bounds, cli, deligne, verify
 from repst.exact import NonDivisibleError, OutOfBoundsError, poly_from_json
-from repst.partitions import parse_partition
+from repst.partitions import format_partition, parse_partition, partitions_up_to
 
 
 def run_cli(capsys, *argv):
@@ -354,7 +354,6 @@ def test_bounds_command(capsys):
 
 
 def test_a_bound_below_the_dimension_fails_and_exits_1(capsys, monkeypatch):
-    from repst import bounds
     monkeypatch.setattr(bounds, "hook_dim", lambda mu: 0)
     report = bounds.bound_sweep(5)
     assert report.passed is False and report.min_slack < 0
@@ -365,7 +364,6 @@ def test_a_bound_below_the_dimension_fails_and_exits_1(capsys, monkeypatch):
 
 
 def _bound_below_the_dimension(monkeypatch):
-    from repst import bounds
     monkeypatch.setattr(bounds, "hook_dim", lambda mu: 0)
     return ["bounds", "--max-n", "5"]
 
@@ -389,6 +387,79 @@ def test_a_failed_check_exits_1_in_both_formats(capsys, monkeypatch, breakage, e
         assert ", FAIL" in out.splitlines()[0]
 
 
+def test_tables_round_trips_the_dimensions(capsys):
+    code, out, _ = run_cli(capsys, "tables", "--max-size", "3", "--max-m", "3", "--json")
+    assert code == 0
+    dims = json.loads(out)["dimensions"]
+    assert set(dims) == {format_partition(lam) for lam in partitions_up_to(3)}
+    for lam in partitions_up_to(3):
+        assert poly_from_json(dims[format_partition(lam)]) == deligne.dimension_poly(lam)
+
+
+def test_tables_prints_one_line_per_entry(capsys):
+    code, out, _ = run_cli(capsys, "tables", "--max-size", "2", "--max-m", "3")
+    assert code == 0
+    _, text, _ = run_cli(capsys, "tables", "--max-size", "2", "--max-m", "3", "--json")
+    tables = json.loads(text)
+    assert out.splitlines() == [f"{name}[{key}] = {poly_from_json(entry)}"
+                                for name, table in tables.items() for key, entry in table.items()]
+    assert "class_sizes[1] = 1/2*t^2 - 1/2*t" in out.splitlines()
+
+
+def test_thresholds_finds_seven_for_one_box_budget(capsys):
+    code, out, _ = run_cli(capsys, "thresholds", "--n-max", "10", "--c", "1", "--k", "1")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["1", "1", "7", "n=6:", "[3,3]", "[2,2,2]"]
+
+
+def test_thresholds_runs_to_the_enumeration_cap(capsys, monkeypatch):
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    code, out, _ = run_cli(capsys, "thresholds", "--n-max", "40", "--c", "1", "--k", "1")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["1", "1", "7", "n=6:", "[3,3]", "[2,2,2]"]
+
+
+def test_thresholds_json_lists_every_budget_and_its_last_counterexamples(capsys):
+    code, out, _ = run_cli(capsys, "thresholds", "--n-max", "12", "--c", "1", "1/2",
+                           "--k", "0", "1", "3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["nMax"] == 12
+    assert [(entry["c"], entry["k"]) for entry in data["budgets"]] == [
+        (c, k) for c in (["1", "1"], ["1", "2"]) for k in (0, 1, 3)]
+    for entry in data["budgets"]:
+        c, k, threshold = Fraction(*map(int, entry["c"])), entry["k"], entry["threshold"]
+        assert threshold == bounds.find_threshold(c, k, 12)
+        last = bounds.lemma_scan(c, k, threshold - 1) if threshold and threshold > 1 else []
+        assert entry["last"] == [format_partition(mu) for mu in last]
+    assert data["budgets"][1] == {"c": ["1", "1"], "k": 1, "threshold": 7, "last": ["3,3", "2,2,2"]}
+    assert data["budgets"][0]["threshold"] == 1 and data["budgets"][2]["threshold"] is None
+
+
+def test_thresholds_shows_four_counterexamples_and_the_total(capsys, monkeypatch):
+    last = [(6, 1), (5, 2), (4, 3), (4, 2, 1), (3, 3, 1), (3, 2, 2)]
+    monkeypatch.setattr(bounds, "find_threshold", lambda c, k, n_max: 8)
+    monkeypatch.setattr(bounds, "lemma_scan", lambda c, k, n: last)
+    code, out, _ = run_cli(capsys, "thresholds", "--n-max", "9", "--c", "3/2", "--k", "2")
+    assert code == 0
+    assert out.splitlines()[1] == "   3/2   2          8  n=7: [6,1] [5,2] [4,3] [4,2,1], ... (6 total)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tables", "--max-size", "-1", "--max-m", "3"], "max_size must be nonnegative, got -1"),
+    (["tables", "--max-size", "3", "--max-m", "-1"], "max_m must be nonnegative, got -1"),
+    (["tables", "--max-size", "41"],
+     "max_size=41 exceeds the enumeration cap 40; raise REPST_LIMITS to allow it"),
+    (["thresholds", "--n-max", "-3", "--c", "1", "--k", "1"], "n_max must be nonnegative, got -3"),
+])
+def test_tables_and_thresholds_reject_a_bad_cap_with_exit_2(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # small arguments for every subcommand, so that each handler runs its own imports
 _EVERY_COMMAND = {
     "dim": ["--lambda", "2,1"],
@@ -401,6 +472,8 @@ _EVERY_COMMAND = {
     "branch": ["--lambda", "1", "--N", "2", "--max-size", "2"],
     "stirling": ["--max-m", "2"],
     "bounds": ["--max-n", "4"],
+    "thresholds": ["--n-max", "8", "--c", "1", "--k", "1"],
+    "tables": ["--max-size", "2", "--max-m", "2"],
     "verify": ["--suite", "pieri", "--max-size", "2"],
 }
 

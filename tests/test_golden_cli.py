@@ -16,8 +16,6 @@ import re
 import sys
 from pathlib import Path
 
-import pytest
-
 from repst import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
@@ -62,6 +60,11 @@ COMMANDS = [
     ["class-size", "--rho", "-1"],
     ["omega-m", "--rho", "x", "--lambda", "1"],
     ["hilbert", "--h", ""],
+    # the threshold scan and the table export, then a bad cap of each
+    ["thresholds", "--n-max", "14"],
+    ["tables", "--max-size", "3", "--max-m", "3"],
+    ["thresholds", "--n-max", "-3"],
+    ["tables", "--max-size", "41"],
 ]
 RECORDED_ARGS = [args + extra for args in COMMANDS for extra in ([], ["--json"])]
 
@@ -85,8 +88,14 @@ def _cases() -> list[dict]:
     return json.loads(GOLDEN.read_text())
 
 
-# a missing file fails the coverage test below, not the collection
-@pytest.mark.parametrize("case", _cases() if GOLDEN.exists() else [], ids=lambda case: " ".join(map(repr, case["args"])))
+def pytest_generate_tests(metafunc):
+    # parametrized by this hook rather than a decorator, so that recording
+    # needs no pytest; a missing file fails the coverage test, not the collection
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", _cases() if GOLDEN.exists() else [],
+                             ids=lambda case: " ".join(map(repr, case["args"])))
+
+
 def test_cli_output_is_byte_identical(case, monkeypatch):
     monkeypatch.delenv("REPST_LIMITS", raising=False)
     assert _run(case["args"]) == case
