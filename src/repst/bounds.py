@@ -144,13 +144,17 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     return sorted(found, reverse=True)
 
 
-def find_threshold(c: Fraction, k: int, n_max: int) -> int | None:
+def find_threshold(c: Fraction, k: int, n_max: int) -> tuple[int | None, list[Partition]]:
     """Smallest N such that lemma_scan(c, k, n) is empty for every
-    N <= n <= n_max, or None if even n_max has violations.  Each n is
-    streamed, so a scan to the cap caches no partitions."""
+    N <= n <= n_max, or None if even n_max has violations, together with
+    lemma_scan(c, k, N - 1): the last counterexamples, empty when N is 1 or
+    None.  c is checked before any scan, and each n is streamed, so a scan to
+    the cap caches no partitions."""
+    c = Fraction(*_ratio(c))
     threshold = None
     for n in range(n_max, 0, -1):
-        if lemma_scan(c, k, n):
-            break
+        found = lemma_scan(c, k, n)
+        if found:
+            return threshold, found if threshold else []
         threshold = n
-    return threshold
+    return threshold, []

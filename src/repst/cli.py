@@ -141,8 +141,7 @@ def cmd_thresholds(args) -> Output:
     lines = [f"{'C':>6} {'k':>3} {'threshold':>10}  last counterexamples"]
     for c in args.c:
         for k in args.k:
-            threshold = bounds.find_threshold(c, k, args.n_max)
-            last = bounds.lemma_scan(c, k, threshold - 1) if threshold and threshold > 1 else []
+            threshold, last = bounds.find_threshold(c, k, args.n_max)
             budgets.append({"c": rational_to_json(c), "k": k, "threshold": threshold,
                             "last": [format_partition(mu) for mu in last]})
             row = f"{str(c):>6} {k:>3} {'> ' + str(args.n_max) if threshold is None else threshold:>10}"

@@ -436,10 +436,9 @@ class TruncatedSeries:
     Operands of +, * and convolve_coefficient must have equal bounds (else
     ValueError).  Only the constructor validates; operators build via _series.
 
-    exp and pow_poly are power series sum_k c_k u^k in a series u with
-    constant term 0 (u = self for exp, self - 1 for pow_poly).  Both run
-    through the one expansion loop _power_series and differ only in u, c_0
-    and the step c_{k-1} -> c_k.
+    exp builds its result one part of total degree at a time, by Miller's
+    recurrence; pow_poly sums the binomial series sum_k binom(g, k) (h - 1)^k
+    one full power of h - 1 at a time.
     """
 
     __slots__ = ("bounds", "terms")
@@ -511,40 +510,63 @@ class TruncatedSeries:
     def __pow__(self, n: int) -> "TruncatedSeries":
         return _power(self, n, _series(self.bounds, {(0,) * len(self.bounds): ONE}), "series")
 
-    def _power_series(self, first, step) -> "TruncatedSeries":
-        """sum_k c_k self^k with c_0 = first and c_k = step(c_{k-1}, k), for a
-        series with constant term 0: the sum stops at the first power that
-        truncation kills, self^(sum(bounds) + 1) at the latest."""
-        result = _series(self.bounds, {(0,) * len(self.bounds): first})
-        power, c = self, first
-        for k in range(1, sum(self.bounds) + 1):
-            if k > 1:
-                power = power * self
-            if not power.terms:
-                break
-            c = step(c, k)
-            result = result + power.scale(c)
-        return result
-
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term (finite sum under truncation)."""
-        if (0,) * len(self.bounds) in self.terms:
+        """g = exp f for a series f with zero constant term, by J.C.P. Miller's
+        recurrence (Knuth, TAOCP vol. 2, 4.7) on the parts f_k, g_k of total
+        degree k:
+
+            g_0 = 1,   k g_k = sum_{j=1}^{k} (j f_j) g_{k-j}.
+
+        The Euler operator E = sum_i x_i d/dx_i multiplies a part of total
+        degree k by k, and it is a derivation, so E g = (E f) g in any number
+        of variables; the degree-k part of that identity is the recurrence.
+        Truncation drops whole monomials, so it commutes with taking parts,
+        and every part vanishes beyond degree sum(bounds).  The term j = k is
+        k f_k itself, never a product by g_0 = 1."""
+        bounds = self.bounds
+        zero = (0,) * len(bounds)
+        if zero in self.terms:
             raise BadConstantTermError("exp requires constant term 0")
-        return self._power_series(ONE, lambda c, k: c.scale(Fraction(1, k)))
+        weighted: dict[int, dict] = {}  # j -> the terms of j f_j
+        for e, c in self.terms.items():
+            weighted.setdefault(sum(e), {})[e] = c.scale(sum(e))
+        weighted_parts = sorted((j, _series(bounds, terms)) for j, terms in weighted.items())
+        parts = [_series(bounds, {zero: ONE})]  # parts[k] = g_k
+        for k in range(1, sum(bounds) + 1):
+            total = _series(bounds, {})
+            for j, part in weighted_parts:
+                if j > k:
+                    break
+                total = total + (part if j == k else part * parts[k - j])
+            inverse = Fraction(1, k)
+            parts.append(_series(bounds, {e: c.scale(inverse) for e, c in total.terms.items()}))
+        return _series(bounds, {e: c for part in parts for e, c in part.terms.items()})
 
     def pow_poly(self, exponent: ExactPolynomial) -> "TruncatedSeries":
         """h**g(t) for a series h with constant term 1 and polynomial exponent g.
 
         Expanded as the generalized binomial series
-        sum_d binom(g, d) (h - 1)^d, which terminates under truncation and
-        agrees with exp(g * log h) as a formal identity.
+        sum_k binom(g, k) u^k with u = h - 1, which agrees with exp(g * log h)
+        as a formal identity and terminates under truncation: the sum stops at
+        the first power of u that truncation kills, u^(sum(bounds) + 1) at
+        the latest.  u^1 is u itself, never a product by one.
         """
-        if self.terms.get((0,) * len(self.bounds)) != ONE:
+        bounds = self.bounds
+        if self.terms.get((0,) * len(bounds)) != ONE:
             raise BadConstantTermError("pow_poly requires constant term 1")
         exponent = _as_poly(exponent)
         # u = h - 1: the constant term is ONE, so drop the zero exponent
-        u = _series(self.bounds, {e: c for e, c in self.terms.items() if any(e)})
-        return u._power_series(ONE, lambda c, k: (c * (exponent - (k - 1))).scale(Fraction(1, k)))
+        u = _series(bounds, {e: c for e, c in self.terms.items() if any(e)})
+        result = _series(bounds, {(0,) * len(bounds): ONE})
+        power, c = u, ONE  # c = binom(g, k)
+        for k in range(1, sum(bounds) + 1):
+            if k > 1:
+                power = power * u
+            if not power.terms:
+                break
+            c = (c * (exponent - (k - 1))).scale(Fraction(1, k))
+            result = result + power.scale(c)
+        return result
 
     def eval_t(self, value: Scalar) -> "TruncatedSeries":
         """Specialize every polynomial coefficient at t = value."""

@@ -13,7 +13,8 @@ Two independent routes are provided:
                              differences (exact.lagrange_interpolate)
   hilbert_coefficient_gamma  term extraction from exp of the asymptotic
                              log-Gamma difference series, whose coefficients
-                             are Bernoulli polynomials
+                             are Bernoulli polynomials; exp runs Miller's
+                             recurrence, O(m^2) coefficient products
 
 Their agreement is the acceptance contract for the second route.
 """
@@ -82,7 +83,9 @@ def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
         log h = sum_{k>=1} (-1)^{k+1} (B_{k+1}(t) - B_{k+1}) / (k (k+1)) x^k
 
     with B Bernoulli polynomials/numbers; exponentiating and truncating at
-    degree m gives the coefficient exactly.
+    degree m gives the coefficient exactly.  TruncatedSeries.exp builds
+    h = exp(log h) one coefficient at a time by Miller's recurrence,
+    m h_m = sum_{j=1}^{m} j (log h)_j h_{m-j}, with no full series product.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")

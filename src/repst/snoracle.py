@@ -81,17 +81,24 @@ def _mn_recurse(beta: tuple[int, ...], lengths: tuple[int, ...]) -> int:
         # identity is the dimension
         return _dimension(beta)
     strip, rest = lengths[0], lengths[1:]
+    size = len(beta)
     total = 0
     # removing a border strip of the given length = lowering one beta
     # number by it, provided the slot is free; the sign is the parity of
-    # the beta numbers jumped over (= leg length of the strip)
+    # the beta numbers jumped over (= leg length of the strip).  beta is
+    # strictly decreasing, so the numbers jumped over are the ones between
+    # b and its landing slot, and the lowered number is spliced in there.
     for i, b in enumerate(beta):
         c = b - strip
-        if c < 0 or c in beta:
-            continue
-        height = sum(1 for x in beta if c < x < b)
-        lowered = tuple(sorted(beta[:i] + beta[i + 1:] + (c,), reverse=True))
-        total += (-1) ** height * _mn_recurse(lowered, rest)
+        if c < 0:
+            break  # so does every later, smaller number
+        j = i + 1
+        while j < size and beta[j] > c:
+            j += 1
+        if j < size and beta[j] == c:
+            continue  # the slot is taken
+        value = _mn_recurse(beta[:i] + beta[i + 1:j] + (c,) + beta[j:], rest)
+        total += -value if (j - i - 1) & 1 else value
     return total
 
 

@@ -152,14 +152,21 @@ def test_sweeps_leave_the_partition_cache_empty():
 
 
 def test_find_threshold():
-    assert bd.find_threshold(Fraction(1), 0, 12) == 1
-    threshold = bd.find_threshold(Fraction(1), 1, 15)
+    assert bd.find_threshold(Fraction(1), 0, 12) == (1, [])
+    threshold, last = bd.find_threshold(Fraction(1), 1, 15)
     assert threshold is not None and threshold <= 15
     for n in range(threshold, 16):
         assert bd.lemma_scan(Fraction(1), 1, n) == []
-    assert bd.lemma_scan(Fraction(1), 1, threshold - 1) != []
+    assert last == bd.lemma_scan(Fraction(1), 1, threshold - 1) != []
+    assert (threshold, last) == (7, [(3, 3), (2, 2, 2)])
 
 
 def test_find_threshold_none_when_last_point_fails():
     # pick a budget so generous that n_max itself has violations
-    assert bd.find_threshold(Fraction(10 ** 6), 3, 8) is None
+    assert bd.find_threshold(Fraction(10 ** 6), 3, 8) == (None, [])
+
+
+@pytest.mark.parametrize("n_max", [0, 10])
+def test_find_threshold_rejects_a_float_budget_before_any_scan(n_max):
+    with pytest.raises(TypeError):
+        bd.find_threshold(0.5, 1, n_max)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repst import bounds, cli, deligne, verify
-from repst.exact import NonDivisibleError, OutOfBoundsError, poly_from_json
+from repst.exact import ExactPolynomial, NonDivisibleError, OutOfBoundsError, T, poly_from_json
 from repst.partitions import format_partition, parse_partition, partitions_up_to
 
 
@@ -346,6 +346,21 @@ def test_verify_detects_a_broken_identity(capsys, monkeypatch):
     assert all(s["pass"] for s in data["suites"] if s["suite"] != "oracle")
 
 
+def test_verify_formats_failure_text_only_for_a_failing_check(monkeypatch):
+    report = verify.SuiteReport("demo")
+    report.expect("same", {}, T, T)
+    report.expect("differs", {"n": 1}, T, T - 1)
+    assert report.checks == 2
+    assert [f.to_json() for f in report.failures] == [
+        {"check": "differs", "where": {"n": 1}, "detail": "expected t, got t - 1"}]
+
+    def refuse(self):
+        raise AssertionError("formatted the polynomials of a passing check")
+    monkeypatch.setattr(ExactPolynomial, "__str__", refuse)
+    assert verify.pieri_suite(max_size=4).passed
+    assert verify.stirling_suite(max_n=8, max_m=3).passed
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--max-n", "9", "--json")
     assert code == 0
@@ -419,6 +434,21 @@ def test_thresholds_runs_to_the_enumeration_cap(capsys, monkeypatch):
     assert out.splitlines()[1].split() == ["1", "1", "7", "n=6:", "[3,3]", "[2,2,2]"]
 
 
+def test_thresholds_scans_each_n_once(capsys, monkeypatch):
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    calls = []
+    scan = bounds.lemma_scan
+
+    def counting(c, k, n):
+        calls.append(n)
+        return scan(c, k, n)
+    monkeypatch.setattr(bounds, "lemma_scan", counting)
+    code, _, _ = run_cli(capsys, "thresholds", "--n-max", "40", "--c", "1", "--k", "1")
+    assert code == 0
+    # n = 40 down to the first n with counterexamples, 6, and no rescan of it
+    assert len(calls) == 35 and calls[-1] == 6
+
+
 def test_thresholds_json_lists_every_budget_and_its_last_counterexamples(capsys):
     code, out, _ = run_cli(capsys, "thresholds", "--n-max", "12", "--c", "1", "1/2",
                            "--k", "0", "1", "3", "--json")
@@ -429,8 +459,8 @@ def test_thresholds_json_lists_every_budget_and_its_last_counterexamples(capsys)
         (c, k) for c in (["1", "1"], ["1", "2"]) for k in (0, 1, 3)]
     for entry in data["budgets"]:
         c, k, threshold = Fraction(*map(int, entry["c"])), entry["k"], entry["threshold"]
-        assert threshold == bounds.find_threshold(c, k, 12)
         last = bounds.lemma_scan(c, k, threshold - 1) if threshold and threshold > 1 else []
+        assert (threshold, last) == bounds.find_threshold(c, k, 12)
         assert entry["last"] == [format_partition(mu) for mu in last]
     assert data["budgets"][1] == {"c": ["1", "1"], "k": 1, "threshold": 7, "last": ["3,3", "2,2,2"]}
     assert data["budgets"][0]["threshold"] == 1 and data["budgets"][2]["threshold"] is None
@@ -438,8 +468,7 @@ def test_thresholds_json_lists_every_budget_and_its_last_counterexamples(capsys)
 
 def test_thresholds_shows_four_counterexamples_and_the_total(capsys, monkeypatch):
     last = [(6, 1), (5, 2), (4, 3), (4, 2, 1), (3, 3, 1), (3, 2, 2)]
-    monkeypatch.setattr(bounds, "find_threshold", lambda c, k, n_max: 8)
-    monkeypatch.setattr(bounds, "lemma_scan", lambda c, k, n: last)
+    monkeypatch.setattr(bounds, "find_threshold", lambda c, k, n_max: (8, last))
     code, out, _ = run_cli(capsys, "thresholds", "--n-max", "9", "--c", "3/2", "--k", "2")
     assert code == 0
     assert out.splitlines()[1] == "   3/2   2          8  n=7: [6,1] [5,2] [4,3] [4,2,1], ... (6 total)"

@@ -92,6 +92,17 @@ def test_character_tables(table):
             assert sn.character(mu, rho) == value, (mu, rho)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_n_cycle_characters_follow_the_hook_rule(n):
+    # one strip of length n removes the whole diagram, crossing every
+    # beta-number: (-1)^k on the hook (n-k, 1^k), 0 off the hooks
+    n_cycle = sn.cycle_type_of_partition((n,))
+    for mu in pt.partitions_of(n):
+        k = len(mu) - 1
+        expected = (-1) ** k if mu[1:] == (1,) * k else 0
+        assert sn.character(mu, n_cycle) == expected, mu
+
+
 @given(mu=partition_strategy(max_n=8, min_n=2))
 def test_standard_representation_character(mu):
     # on (n-1,1), the character is (number of fixed points) - 1
