@@ -12,9 +12,8 @@ quadratic) all go through exact.linear_product.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial
-from operator import mul
 
 from . import partitions
 from .exact import (
@@ -84,11 +83,34 @@ def _one_plus_power_sum(bounds: tuple[int, ...], r: int) -> TruncatedSeries:
     return TruncatedSeries(bounds, {(r,) * i + (0,) * (n - i): 1 for i in range(n + 1)})
 
 
-def _interval_factor(bounds: tuple[int, ...], lo: int, hi: int) -> TruncatedSeries:
-    """1 - u_lo u_{lo+1} ... u_hi (1-based, inclusive)."""
-    nvars = len(bounds)
-    exp = tuple(1 if lo <= k <= hi else 0 for k in range(1, nvars + 1))
-    return TruncatedSeries(bounds, {(0,) * nvars: 1, exp: -1})
+def _alternant(bounds: tuple[int, ...]) -> TruncatedSeries:
+    """prod_i (1 - x_i) prod_{i>j} (1 - x_i / x_j) in len(bounds) variables,
+    as the alternant sum_sigma sgn(sigma) prod_k x_k^{k - sigma(k)} over the
+    permutations sigma of 0..len(bounds), with x_0 = 1 (Macdonald, I.3).
+
+    After x_i = u_1 ... u_i the exponent of u_k is the suffix sum
+    a_k = sum_{i>=k} (i - sigma(i)) >= 0.  A depth-first search assigns
+    sigma(len(bounds)), ..., sigma(1) from the sorted free values and drops a
+    branch as soon as a_k > bounds[k-1].  Taking the value at position pos of
+    the i + 1 free values leaves i - pos larger ones for the positions below
+    i, so it flips the sign by (-1)^(i - pos)."""
+    terms: dict[tuple[int, ...], ExactPolynomial] = {}
+    exponent = [0] * len(bounds)
+    coefficient = {1: ONE, -1: -ONE}
+
+    def assign(i: int, free: list[int], suffix: int, sign: int):
+        if i == 0:
+            terms[tuple(exponent)] = coefficient[sign]
+            return
+        for pos, value in enumerate(free):
+            a = suffix + i - value
+            if a <= bounds[i - 1]:
+                exponent[i - 1] = a
+                assign(i - 1, free[:pos] + free[pos + 1:], a,
+                       -sign if (i - pos) % 2 else sign)
+
+    assign(len(bounds), list(range(len(bounds) + 1)), 0, 1)
+    return TruncatedSeries(bounds, terms)
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +128,12 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
     constant term, so the generalized binomial expansion of the first factor
     is legitimate.  The target monomial has u_k-exponent sum_{i>=k} lam_i,
     which is also the tightest truncation bound.
+
+    Only the power block (the first two factors) is series arithmetic.  The
+    alternating block is the alternant sum_sigma sgn(sigma) prod x_k^{k-sigma(k)},
+    whose +-1 terms _alternant lists by a depth-first search over sigma: the
+    sign flips by (-1)^(i - pos) per step, and a branch stops as soon as a
+    u-exponent passes its bound.  One convolve_coefficient joins the two.
 
     At t = n the result is the character of the padded partition at the
     class rho, which is how the verification suites check it.
@@ -128,12 +156,7 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
         if count:
             power_block = power_block * _one_plus_power_sum(bounds, i + 2) ** count
 
-    # "alternating block": prod (1 - x_i) prod_{i>j} (1 - x_i/x_j), one
-    # factor 1 - u_lo ... u_hi per interval 1 <= lo <= hi <= variables
-    alternating = reduce(mul, (_interval_factor(bounds, lo, hi)
-                               for hi in range(1, variables + 1) for lo in range(1, hi + 1)))
-
-    return convolve_coefficient(power_block, alternating, bounds)
+    return convolve_coefficient(power_block, _alternant(bounds), bounds)
 
 
 def central_eigenvalue_poly(rho: CycleType, lam: Partition) -> ExactPolynomial:

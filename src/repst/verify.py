@@ -10,6 +10,7 @@ flipped content sign.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -18,6 +19,11 @@ from time import perf_counter
 from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
 from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, binomial_poly
 from .partitions import format_cycle_type, format_partition, partitions_up_to, validity_start
+
+
+def _force(value):
+    """value itself, or its result if it is a zero-argument callable."""
+    return value() if callable(value) else value
 
 
 @dataclass
@@ -41,16 +47,17 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, check: str, where: dict, detail: str = ""):
+    def record(self, ok: bool, check: str, where: dict | Callable[[], dict],
+               detail: str | Callable[[], str] = ""):
+        """Count one check.  where and detail may be zero-argument callables;
+        they are called only for a failing check, so a pass formats nothing."""
         self.checks += 1
         if not ok:
-            self.failures.append(Failure(check, where, detail))
+            self.failures.append(Failure(check, _force(where), _force(detail)))
 
-    def expect(self, check: str, where: dict, expected, got):
-        """Record the comparison got == expected, reporting both on failure;
-        the report text is formatted only then."""
-        ok = got == expected
-        self.record(ok, check, where, "" if ok else f"expected {expected}, got {got}")
+    def expect(self, check: str, where: dict | Callable[[], dict], expected, got):
+        """Record the comparison got == expected, reporting both on failure."""
+        self.record(got == expected, check, where, lambda: f"expected {expected}, got {got}")
 
     def to_json(self) -> dict:
         return {
@@ -81,7 +88,8 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
         dim, jm = deligne.dimension_poly(lam), deligne.jm_eigenvalue(lam)
         jm_start = validity_start(lam, (1,))  # never below validity_start(lam)
         for n in range(validity_start(lam), dim_n + 1):
-            where = {"lambda": format_partition(lam), "n": n}
+            def where():
+                return {"lambda": format_partition(lam), "n": n}
             mu = partitions.pad(lam, n)
             report.expect("dim-oracle", where, snoracle.hook_dim(mu), dim(n))
             if n >= jm_start:
@@ -138,15 +146,15 @@ def pieri_suite(*, max_size: int = 8) -> SuiteReport:
         rhs = ExactPolynomial()
         for mu, mult in decomp.items():
             rhs = rhs + deligne.dimension_poly(mu).scale(mult)
-        report.expect("pieri-dimension", {"lambda": format_partition(lam)}, lhs, rhs)
+        report.expect("pieri-dimension", lambda: {"lambda": format_partition(lam)}, lhs, rhs)
     for lam, decomp in decomps.items():
         for mu, mult in decomp.items():
             if mu not in decomps:
                 continue
             back = decomps[mu].get(lam, 0)
             report.record(back == mult, "pieri-symmetry",
-                          {"lambda": format_partition(lam), "mu": format_partition(mu)},
-                          f"multiplicity {mult} one way, {back} back")
+                          lambda: {"lambda": format_partition(lam), "mu": format_partition(mu)},
+                          lambda: f"multiplicity {mult} one way, {back} back")
     return report
 
 
@@ -178,16 +186,16 @@ def bounds_suite(*, max_n: int = 18) -> SuiteReport:
     for n in range(1, max_n + 1):
         sweep = bounds.bound_sweep(n)
         report.record(sweep.passed, "dimension-bound", {"n": n},
-                      f"min slack {sweep.min_slack} at {format_partition(sweep.argmin)}")
+                      lambda: f"min slack {sweep.min_slack} at {format_partition(sweep.argmin)}")
     for n in range(1, min(12, max_n) + 1):
         for mu in partitions.partitions_of(n):
             report.record(bounds.amgm_check(mu), "amgm",
-                          {"mu": format_partition(mu)}, "inequality failed")
+                          lambda: {"mu": format_partition(mu)}, "inequality failed")
     if max_n >= 15:
         for n in range(10, 16):
             violations = bounds.lemma_scan(Fraction(1), 1, n)
             report.record(not violations, "lemma-scan", {"C": "1", "k": 1, "n": n},
-                          f"violations: {[format_partition(v) for v in violations]}")
+                          lambda: f"violations: {[format_partition(v) for v in violations]}")
     return report
 
 

@@ -97,7 +97,7 @@ def test_criterion_04_central_element_oracle():
 
 def test_criterion_05_transposition_class_sum_is_jm():
     with criterion(5, "transposition class sum equals the content-shift eigenvalue, |lam| <= 8",
-                   budget=10.0):
+                   budget=4.0):
         for lam in pt.partitions_up_to(8):
             assert dl.central_eigenvalue_poly((1,), lam) == dl.jm_eigenvalue(lam), lam
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repst import bounds, cli, deligne, verify
+from repst import bounds, cli, deligne, partitions, verify
 from repst.exact import ExactPolynomial, NonDivisibleError, OutOfBoundsError, T, poly_from_json
 from repst.partitions import format_partition, parse_partition, partitions_up_to
 
@@ -359,6 +359,23 @@ def test_verify_formats_failure_text_only_for_a_failing_check(monkeypatch):
     monkeypatch.setattr(ExactPolynomial, "__str__", refuse)
     assert verify.pieri_suite(max_size=4).passed
     assert verify.stirling_suite(max_n=8, max_m=3).passed
+
+
+def test_passing_pieri_and_bounds_suites_format_no_partition(monkeypatch):
+    calls = []
+
+    def counting(lam):
+        calls.append(lam)
+        return format_partition(lam)
+    for module in (verify, bounds, partitions):
+        monkeypatch.setattr(module, "format_partition", counting)
+    assert verify.pieri_suite().passed
+    assert verify.bounds_suite().passed
+    assert calls == []
+    report = verify.SuiteReport("demo")
+    report.record(False, "lazy", lambda: {"mu": counting((2, 1))}, lambda: "detail")
+    assert [f.to_json() for f in report.failures] == [
+        {"check": "lazy", "where": {"mu": "2,1"}, "detail": "detail"}]
 
 
 def test_bounds_command(capsys):

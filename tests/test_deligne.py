@@ -1,4 +1,8 @@
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations
+from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +138,52 @@ def test_frobenius_matches_character_of_padded(lam, rho):
 def test_frobenius_stable_under_extra_variable(lam, rho):
     expected = dl.frobenius_coefficient(lam, rho)
     assert dl.frobenius_coefficient(lam, rho, variables=len(lam) + 1) == expected
+
+
+def _interval_product(bounds):
+    """prod over 1 <= lo <= hi <= len(bounds) of 1 - u_lo ... u_hi: the
+    alternating block as the product of its l(l+1)/2 factors."""
+    nvars = len(bounds)
+    factors = (TruncatedSeries(bounds, {(0,) * nvars: 1,
+                                        tuple(int(lo <= k <= hi) for k in range(1, nvars + 1)): -1})
+               for hi in range(1, nvars + 1) for lo in range(1, hi + 1))
+    return reduce(mul, factors, TruncatedSeries.constant(bounds, 1))
+
+
+def test_alternant_equals_product_of_interval_factors():
+    for lam in pt.partitions_up_to(8):
+        ell = len(lam)
+        for variables in (ell, ell + 1, ell + 2):
+            bounds = tuple(sum(lam[k - 1:]) for k in range(1, variables + 1))
+            assert dl._alternant(bounds) == _interval_product(bounds), (lam, variables)
+
+
+@pytest.mark.parametrize("ell", range(1, 6))
+def test_untruncated_alternant_is_signed_sum_over_permutations(ell):
+    terms = dl._alternant((100,) * ell).terms
+    assert len(terms) == factorial(ell + 1)
+    assert {c.coeffs for c in terms.values()} == {(1,), (-1,)}
+    assert sum(c.coeffs[0] for c in terms.values()) == 0
+    # term by term: u_k carries sum_{i>=k} (i - sigma(i)), sign by inversions
+    for sigma in permutations(range(ell + 1)):
+        exponent = tuple(sum(i - sigma[i] for i in range(k, ell + 1)) for k in range(1, ell + 1))
+        inversions = sum(sigma[j] > sigma[i] for i in range(ell + 1) for j in range(i))
+        assert terms[exponent].coeffs == ((-1) ** inversions,)
+
+
+def test_frobenius_equals_murnaghan_nakayama_at_deg_plus_one_ranks():
+    # for n >= validity_start the character is a polynomial in n of degree at
+    # most |lam|, so agreement at max(deg, |lam|) + 1 consecutive ranks proves
+    # the identity on every lam of size <= 6 and every class moving <= 6 points
+    compared = 0
+    for lam in pt.partitions_up_to(6):
+        for rho in sn.cycle_types_with_support_up_to(6):
+            frob = dl.frobenius_coefficient(lam, rho)
+            start = pt.validity_start(lam, rho)
+            for n in range(start, start + max(frob.degree, sum(lam)) + 1):
+                assert frob(n) == sn.character(pt.pad(lam, n), rho), (lam, rho, n)
+                compared += 1
+    assert compared == 1815
 
 
 def test_frobenius_rejects_too_few_variables():
