@@ -145,8 +145,6 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
         variables = ell
     if variables < ell:
         raise ValueError(f"need at least {ell} variables for {lam}")
-    if variables == 0:
-        return ONE
     bounds = tuple(sum(lam[i] for i in range(k - 1, ell)) for k in range(1, variables + 1))
 
     # "power block": all of its monomials are sums of prefix intervals, so

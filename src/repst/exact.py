@@ -27,6 +27,7 @@ to_binomial_basis and its inverse, lagrange_interpolate.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice, product
 from math import factorial, gcd, lcm
 from operator import add, index, le, sub
 from typing import Iterable, Mapping, Sequence, Union
@@ -436,9 +437,11 @@ class TruncatedSeries:
     Operands of +, * and convolve_coefficient must have equal bounds (else
     ValueError).  Only the constructor validates; operators build via _series.
 
-    exp builds its result one part of total degree at a time, by Miller's
-    recurrence; pow_poly sums the binomial series sum_k binom(g, k) (h - 1)^k
-    one full power of h - 1 at a time.
+    exp runs Miller's recurrence one coefficient at a time over the whole
+    bounds box, which suits few variables; pow_poly sums the binomial series
+    sum_k binom(g, k) (h - 1)^k one full power of h - 1 at a time, which keeps
+    the sparse many-variable (1 + p_1)^(t - m) of deligne's Frobenius kernel
+    on its small support.
     """
 
     __slots__ = ("bounds", "terms")
@@ -512,35 +515,30 @@ class TruncatedSeries:
 
     def exp(self) -> "TruncatedSeries":
         """g = exp f for a series f with zero constant term, by J.C.P. Miller's
-        recurrence (Knuth, TAOCP vol. 2, 4.7) on the parts f_k, g_k of total
-        degree k:
+        recurrence (Knuth, TAOCP vol. 2, 4.7), one coefficient at a time:
 
-            g_0 = 1,   k g_k = sum_{j=1}^{k} (j f_j) g_{k-j}.
+            g_0 = 1,   |e| g_e = sum_{a != 0} |a| f_a g_{e-a},
 
-        The Euler operator E = sum_i x_i d/dx_i multiplies a part of total
-        degree k by k, and it is a derivation, so E g = (E f) g in any number
-        of variables; the degree-k part of that identity is the recurrence.
-        Truncation drops whole monomials, so it commutes with taking parts,
-        and every part vanishes beyond degree sum(bounds).  The term j = k is
-        k f_k itself, never a product by g_0 = 1."""
-        bounds = self.bounds
-        zero = (0,) * len(bounds)
-        if zero in self.terms:
+        with |e| the total degree.  The Euler operator E = sum_i x_i d/dx_i
+        multiplies a monomial by its total degree, and it is a derivation, so
+        E g = (E f) g in any number of variables; its x^e coefficient is the
+        recurrence.  The walk covers the whole bounds box, which suits few
+        variables; its lexicographic itertools.product order reaches every
+        e - a before e.  A missing e - a is zero or has a negative exponent,
+        and contributes nothing."""
+        if (0,) * len(self.bounds) in self.terms:
             raise BadConstantTermError("exp requires constant term 0")
-        weighted: dict[int, dict] = {}  # j -> the terms of j f_j
-        for e, c in self.terms.items():
-            weighted.setdefault(sum(e), {})[e] = c.scale(sum(e))
-        weighted_parts = sorted((j, _series(bounds, terms)) for j, terms in weighted.items())
-        parts = [_series(bounds, {zero: ONE})]  # parts[k] = g_k
-        for k in range(1, sum(bounds) + 1):
-            total = _series(bounds, {})
-            for j, part in weighted_parts:
-                if j > k:
-                    break
-                total = total + (part if j == k else part * parts[k - j])
-            inverse = Fraction(1, k)
-            parts.append(_series(bounds, {e: c.scale(inverse) for e, c in total.terms.items()}))
-        return _series(bounds, {e: c for part in parts for e, c in part.terms.items()})
+        weighted = [(a, c.scale(sum(a))) for a, c in self.terms.items()]
+        g = {(0,) * len(self.bounds): ONE}
+        for e in islice(product(*(range(b + 1) for b in self.bounds)), 1, None):
+            total = ZERO
+            for a, c in weighted:
+                prev = g.get(tuple(map(sub, e, a)))
+                if prev is not None:
+                    total = total + c * prev
+            if total.nums:
+                g[e] = total.scale(Fraction(1, sum(e)))
+        return _series(self.bounds, g)
 
     def pow_poly(self, exponent: ExactPolynomial) -> "TruncatedSeries":
         """h**g(t) for a series h with constant term 1 and polynomial exponent g.

@@ -89,8 +89,6 @@ def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return ExactPolynomial((1,))
     log_terms = {}
     for k in range(1, m + 1):
         poly = bernoulli_poly(k + 1) - bernoulli_number(k + 1)

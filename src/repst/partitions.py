@@ -202,7 +202,7 @@ def validity_start(lam: Partition, rho: CycleType = ()) -> int:
     """Smallest n with n >= |lam| + lam_1, where pad(lam, n) exists, and
     n >= support(rho), where the cycles of rho fit."""
     lowest = sum(lam) + (lam[0] if lam else 0)
-    return max(lowest, support(rho)) if rho else lowest
+    return max(lowest, support(rho))
 
 
 def pad(lam: Partition, n: int) -> Partition:

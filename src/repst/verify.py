@@ -94,7 +94,7 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
             report.expect("dim-oracle", where, snoracle.hook_dim(mu), dim(n))
             if n >= jm_start:
                 report.expect("jm-oracle", where, snoracle.central_eigenvalue(n, (1,), mu), jm(n))
-        _certify(report, dim, "integrality-dim", {"lambda": format_partition(lam)})
+        _certify(report, dim, "integrality-dim", lambda: {"lambda": format_partition(lam)})
 
     cycle_types = snoracle.cycle_types_with_support_up_to(max_m)
     for lam in partitions_up_to(cen_size):
@@ -102,18 +102,19 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
             frob = deligne.frobenius_coefficient(lam, rho)
             omega = deligne.central_eigenvalue_poly(rho, lam)
             for n in range(validity_start(lam, rho), cen_n + 1):
+                def where():
+                    return {"lambda": format_partition(lam),
+                            "rho": format_cycle_type(rho), "n": n}
                 mu = partitions.pad(lam, n)
-                where = {"lambda": format_partition(lam),
-                         "rho": format_cycle_type(rho), "n": n}
                 report.expect("character-shadow", where, snoracle.character(mu, rho), frob(n))
                 report.expect("central-oracle", where,
                               snoracle.central_eigenvalue(n, rho, mu), omega(n))
             _certify(report, omega, "integrality-central",
-                     {"lambda": format_partition(lam), "rho": format_cycle_type(rho)})
+                     lambda: {"lambda": format_partition(lam), "rho": format_cycle_type(rho)})
 
     for rho in cycle_types:
         _certify(report, deligne.class_size_poly(rho), "integrality-class-size",
-                 {"rho": format_cycle_type(rho)})
+                 lambda: {"rho": format_cycle_type(rho)})
 
     stab_types = snoracle.cycle_types_with_support_up_to(min(max_m, 4))
     for lam in partitions_up_to(min(cen_size, 4)):
@@ -121,14 +122,15 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
             same = deligne.frobenius_coefficient(lam, rho) == \
                 deligne.frobenius_coefficient(lam, rho, variables=len(lam) + 1)
             report.record(same, "variable-stability",
-                          {"lambda": format_partition(lam),
-                           "rho": format_cycle_type(rho)},
+                          lambda: {"lambda": format_partition(lam),
+                                   "rho": format_cycle_type(rho)},
                           "coefficient changed when adding a variable")
 
     return report
 
 
-def _certify(report: SuiteReport, poly: ExactPolynomial, check: str, where: dict):
+def _certify(report: SuiteReport, poly: ExactPolynomial, check: str,
+             where: dict | Callable[[], dict]):
     try:
         deligne.certify_integer_valued(poly)
         report.record(True, check, where)
@@ -211,7 +213,7 @@ def graded_suite(*, degree: int = 6) -> SuiteReport:
         outcome = schurweyl.graded_decomposition_check(d, degree)
         report.record(outcome.passed, "graded-decomposition",
                       {"d": d, "D": degree},
-                      f"first failing degree {outcome.first_failure}")
+                      lambda: f"first failing degree {outcome.first_failure}")
     for v in range(1, 6):
         poly = schurweyl.degree_one_dimension(v)
         h = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert.ungraded(v - 1), 1)
@@ -224,7 +226,7 @@ def graded_suite(*, degree: int = 6) -> SuiteReport:
         product = TruncatedSeries.constant((6,), 1)
         for n in range(7):
             report.record(power.eval_t(n) == product, "integer-specialization",
-                          {"h": ",".join(map(str, coeffs)), "n": n},
+                          lambda: {"h": ",".join(map(str, coeffs)), "n": n},
                           "t = n specialization differs from the n-fold product")
             product = product * base
     return report

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repst import bounds, cli, deligne, partitions, verify
+from repst import bounds, cli, deligne, partitions, schurweyl, snoracle, verify
 from repst.exact import ExactPolynomial, NonDivisibleError, OutOfBoundsError, T, poly_from_json
-from repst.partitions import format_partition, parse_partition, partitions_up_to
+from repst.partitions import format_cycle_type, format_partition, parse_partition, partitions_up_to
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +376,24 @@ def test_passing_pieri_and_bounds_suites_format_no_partition(monkeypatch):
     report.record(False, "lazy", lambda: {"mu": counting((2, 1))}, lambda: "detail")
     assert [f.to_json() for f in report.failures] == [
         {"check": "lazy", "where": {"mu": "2,1"}, "detail": "detail"}]
+
+
+def test_passing_oracle_stirling_and_graded_suites_format_nothing(monkeypatch):
+    calls = []
+
+    def counting(formatter):
+        def wrapped(parts):
+            calls.append(parts)
+            return formatter(parts)
+        return wrapped
+    for module in (verify, bounds, partitions, schurweyl, snoracle):
+        monkeypatch.setattr(module, "format_partition", counting(format_partition))
+    for module in (verify, partitions):
+        monkeypatch.setattr(module, "format_cycle_type", counting(format_cycle_type))
+    assert verify.oracle_suite().passed
+    assert verify.stirling_suite().passed
+    assert verify.graded_suite().passed
+    assert calls == []
 
 
 def test_bounds_command(capsys):

@@ -480,6 +480,19 @@ def test_pow_poly_specializes_to_repeated_product(c1, c2, n):
     assert power.eval_t(n) == product
 
 
+@given(data=st.data(), nvars=st.integers(2, 3))
+def test_multivariate_pow_poly_specializes_to_repeated_product(data, nvars):
+    bounds = tuple(data.draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars)))
+    terms = data.draw(series_dicts(nvars))
+    terms[(0,) * nvars] = 1
+    h = TruncatedSeries(bounds, terms)
+    power = h.pow_poly(T)
+    product = TruncatedSeries.constant(bounds, 1)
+    for n in range(6):
+        assert power.eval_t(n) == product
+        product = product * h
+
+
 def test_exp_and_pow_poly_preconditions():
     with pytest.raises(BadConstantTermError):
         TruncatedSeries((2,), {(0,): 1}).exp()
@@ -500,11 +513,13 @@ def test_exp_of_a_sum_is_the_product_of_exps(a1, a2, b1, b2):
 
 @given(c1=fractions, c2=fractions)
 def test_exp_matches_its_explicit_series(c1, c2):
-    a = TruncatedSeries((2, 3), {(1, 0): c1, (0, 1): T.scale(c2), (1, 1): 1})
-    expected = TruncatedSeries.constant(a.bounds, 0)
-    for k in range(sum(a.bounds) + 1):
-        expected = expected + (a ** k).scale(Fraction(1, factorial(k)))
-    assert a.exp() == expected
+    for a in (TruncatedSeries((2, 3), {(1, 0): c1, (0, 1): T.scale(c2), (1, 1): 1}),
+              TruncatedSeries((2, 1, 2), {(1, 0, 0): c1, (0, 1, 1): T.scale(c2),
+                                          (0, 0, 1): 1, (1, 1, 0): T - c1})):
+        expected = TruncatedSeries.constant(a.bounds, 0)
+        for k in range(sum(a.bounds) + 1):
+            expected = expected + (a ** k).scale(Fraction(1, factorial(k)))
+        assert a.exp() == expected
 
 
 def test_pow_poly_is_a_homomorphism_in_the_exponent():
@@ -539,12 +554,13 @@ def test_power_takes_the_binary_method_products(base, n, products, monkeypatch):
     assert len(calls) == products
 
 
-# u = x at bound (5,) in both: the expansion takes x^2 ... x^5, and x^1 is u itself
-@pytest.mark.parametrize("expand", [
-    lambda: TruncatedSeries((5,), {(0,): 1, (1,): 1}).pow_poly(T),
-    lambda: TruncatedSeries((5,), {(1,): 1}).exp(),
+# u = x at bound (5,): pow_poly's expansion takes x^2 ... x^5, and x^1 is u
+# itself; exp's recurrence works coefficient by coefficient, with no product
+@pytest.mark.parametrize("expand, products", [
+    (lambda: TruncatedSeries((5,), {(0,): 1, (1,): 1}).pow_poly(T), 4),
+    (lambda: TruncatedSeries((5,), {(1,): 1}).exp(), 0),
 ], ids=["pow_poly", "exp"])
-def test_power_series_takes_no_product_by_one(expand, monkeypatch):
+def test_power_series_takes_no_product_by_one(expand, products, monkeypatch):
     expected = expand()
     calls = []
     multiply = TruncatedSeries.__mul__
@@ -554,7 +570,7 @@ def test_power_series_takes_no_product_by_one(expand, monkeypatch):
         return multiply(a, b)
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
     assert expand() == expected
-    assert len(calls) == 4
+    assert len(calls) == products
 
 
 @pytest.mark.parametrize("base, kind", zip(POWER_BASES, ["polynomial", "series"]))
