@@ -258,15 +258,6 @@ def _zs1(n: int) -> Iterator[Partition]:
         yield tuple(x[:m])
 
 
-def iter_partitions(n: int) -> Iterator[Partition]:
-    """The partitions of n one at a time, in the order of partitions_of(n),
-    holding only the current one.  The cap is checked here, at the call,
-    not at the first next().  For one pass over a large n, where the cached
-    partitions_of would keep all p(n) of them for the life of the process."""
-    check_size_cap("n", n)
-    return _zs1(n)
-
-
 @lru_cache(maxsize=None)
 def _partitions_of(n: int) -> tuple[Partition, ...]:
     """partitions_of(n) past its cap check."""
@@ -275,8 +266,8 @@ def _partitions_of(n: int) -> tuple[Partition, ...]:
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, descending lexicographically, each exactly once.
-    Cached: for callers that visit the same n again or need a sequence;
-    a single pass should use iter_partitions."""
+    Cached for the life of the process, for callers that visit the same n
+    again or need a sequence."""
     check_size_cap("n", n)
     return _partitions_of(n)
 

@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,78 @@ def test_bound_sweep_matches_per_partition_reference_through_24():
         report = bd.bound_sweep(n)
         assert (report.partition_count, report.passed, report.min_slack, report.argmin) == (
             len(slacks), all(s >= 0 for s, _ in slacks), min_slack, argmin)
+
+
+def test_the_walk_visits_each_wide_partition_once_with_its_hook_product():
+    for n in range(23):
+        visits = Counter()
+        for mu, hooks in bd._wide_hook_products(n):
+            visits[mu] += 1
+            assert hooks * sn.hook_dim(mu) == factorial(n), mu
+        assert visits == Counter(mu for mu in pt.partitions_of(n) if mu and mu[0] >= len(mu)), n
+
+
+def _partition_counts(n_max):
+    """p(0..n_max), adding the parts 1, 2, ..., n_max one size at a time."""
+    p = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for n in range(part, n_max + 1):
+            p[n] += p[n - part]
+    return p
+
+
+def test_bound_sweep_counts_every_partition_and_is_tight_at_the_row_through_40():
+    counts = _partition_counts(40)
+    assert counts[40] == 37338
+    for n in range(1, 41):
+        report = bd.bound_sweep(n)
+        assert report.partition_count == counts[n], n
+        # dim (n) = 1 = binom(n, n) (n/n)^n, and (n) comes first
+        assert (report.min_slack, report.argmin) == (0, (n,)), n
+
+
+def test_the_sweeps_take_hook_dim_only_for_the_winner_of_each_first_row(monkeypatch):
+    calls = []
+
+    def counting(mu):
+        calls.append(mu)
+        return sn.hook_dim(mu)
+    monkeypatch.setattr(bd, "hook_dim", counting)
+    bd.lemma_scan(Fraction(1), 1, 30)
+    assert calls == []
+    bd.bound_sweep(30)
+    assert 0 < len(calls) <= len({mu[0] for mu in pt.partitions_of(30) if mu[0] >= len(mu)})
+
+
+def test_the_sweeps_check_the_cap_when_called(monkeypatch):
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    n = pt.enumeration_limit() + 1
+    for call in (lambda: bd.bound_sweep(n), lambda: bd.lemma_scan(Fraction(1), 1, n),
+                 lambda: bd._wide_hook_products(n)):
+        with pytest.raises(pt.LimitExceededError, match=r"^n=41 exceeds"):
+            call()
+
+
+def test_a_failing_sweep_reports_the_first_partition_of_least_slack(monkeypatch):
+    # classes with two partitions of least dimension, such as (3, 3, 1) and
+    # (3, 2, 2) at n = 7, report the lexicographically larger one
+    original = bd.dimension_lower_bound
+
+    def raised(d):
+        # n! is above every dimension, so the sweep fails in class d
+        return lambda n, mu: original(n, mu) + (factorial(n) if max(mu[0], len(mu)) == d else 0)
+    for n in range(1, 15):
+        for d in range(1, n + 1):
+            monkeypatch.setattr(bd, "dimension_lower_bound", raised(d))
+            min_slack, argmin = min(((sn.hook_dim(mu) - bd.dimension_lower_bound(n, mu), mu)
+                                     for mu in pt.partitions_of(n)), key=lambda pair: pair[0])
+            report = bd.bound_sweep(n)
+            assert (report.min_slack, report.argmin) == (min_slack, argmin), (n, d)
+    # every class at slack -1: the first partition of all, (n), is reported
+    monkeypatch.setattr(bd, "dimension_lower_bound", lambda n, mu: 1)
+    monkeypatch.setattr(bd, "hook_dim", lambda mu: 0)
+    report = bd.bound_sweep(9)
+    assert (report.min_slack, report.argmin) == (-1, (9,))
 
 
 @given(mu=partition_strategy(max_n=12))

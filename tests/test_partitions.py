@@ -206,17 +206,6 @@ def test_partitions_of_is_every_partition_once_in_descending_order():
             assert all(a >= b for a, b in zip(mu, mu[1:]))
 
 
-def test_iter_partitions_yields_partitions_of_in_order():
-    for n in range(31):
-        assert tuple(pt.iter_partitions(n)) == pt.partitions_of(n)
-
-
-def test_iter_partitions_checks_the_cap_when_called(monkeypatch):
-    monkeypatch.delenv("REPST_LIMITS", raising=False)
-    with pytest.raises(pt.LimitExceededError, match=r"^n=41 exceeds"):
-        pt.iter_partitions(pt.enumeration_limit() + 1)
-
-
 def test_partition_enumeration_limit(monkeypatch):
     monkeypatch.delenv("REPST_LIMITS", raising=False)
     with pytest.raises(pt.LimitExceededError):
