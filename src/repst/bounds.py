@@ -183,10 +183,11 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     are tested, and a hit with mu_1 > len(mu) brings its conjugate along.
     hook_dim(mu) = n! / H(mu) for the hook product H(mu) of the walk, so the
     budget is tested as n! <= threshold * H(mu), in integers, and hook_dim
-    is never called.
+    is never called.  k is held to the enumeration cap before n^k is formed.
     """
     if n < 1:
         raise SizeMismatchError(f"lemma_scan needs n >= 1, got {n}")
+    check_size_cap("k", k)
     # hook_dim is an integer, so comparing it with the floor is exact
     threshold = floor(Fraction(*_ratio(c)) * Fraction(n) ** k)
     total = factorial(n)

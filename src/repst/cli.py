@@ -248,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
             "smallest n from which every irreducible of dimension <= C n^k has a "
             "first row or column of length >= n - k")
     p.add_argument("--n-max", type=int, default=20, help="largest n to scan")
-    p.add_argument("--c", type=_parse_rational, nargs="*", default=[Fraction(1), Fraction(2), Fraction(10)],
+    p.add_argument("--c", type=_parse_rational, nargs="+", default=[Fraction(1), Fraction(2), Fraction(10)],
                    help="rational budget constants C")
-    p.add_argument("--k", type=int, nargs="*", default=[0, 1, 2, 3], help="budget exponents k")
+    p.add_argument("--k", type=int, nargs="+", default=[0, 1, 2, 3], help="budget exponents k")
 
     p = add("tables", cmd_tables, "dimension, Jucys-Murphy eigenvalue and class-size tables")
     p.add_argument("--max-size", type=int, default=5, help="largest |lambda|")

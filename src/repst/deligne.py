@@ -11,6 +11,7 @@ quadratic) all go through exact.linear_product.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -29,7 +30,7 @@ from .exact import (
     linear_product,
     to_binomial_basis,
 )
-from .partitions import CycleType, Partition, check_cycle_type, support
+from .partitions import CycleType, Partition, check_cycle_type, check_partition, support
 
 Decomposition = dict[Partition, int]
 
@@ -39,20 +40,15 @@ def dimension_poly(lam: Partition) -> ExactPolynomial:
     """Dimension of the indecomposable object labeled by lam, as a degree-|lam|
     polynomial in the rank t: prod(t - b) over the b-set of lam, divided by
     the hook product of lam."""
+    check_partition(lam)
     return linear_product(partitions.b_set(lam), partitions.hook_product(lam))
 
 
 def pieri(lam: Partition) -> Decomposition:
-    """Decomposition of (one-box object) tensor X_lam: every diagram obtained
-    by adding, deleting, or moving a corner cell once, plus lam itself with
-    multiplicity the number of its corner cells."""
-    moves = partitions.corner_moves(lam)
-    decomp: Decomposition = {}
-    for mu in moves.added | moves.removed | moves.moved:
-        decomp[mu] = decomp.get(mu, 0) + 1
-    if moves.corner_count:
-        decomp[lam] = decomp.get(lam, 0) + moves.corner_count
-    return decomp
+    """Decomposition of (one-box object) tensor X_lam: each diagram mu with
+    the number of times it is one cell-move from lam, by
+    partitions.corner_moves, so lam itself once per removable cell."""
+    return dict(Counter(partitions.corner_moves(check_partition(lam))))
 
 
 def jm_eigenvalue(lam: Partition) -> ExactPolynomial:
@@ -62,6 +58,7 @@ def jm_eigenvalue(lam: Partition) -> ExactPolynomial:
         ct(lam) - |lam| + binom(t - |lam|, 2)
 
     which at t = n is the content sum of the padded partition."""
+    lam = check_partition(lam)
     n = sum(lam)
     return binomial_poly(-n, 2) + (partitions.content_sum(lam) - n)
 
@@ -138,6 +135,7 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
     At t = n the result is the character of the padded partition at the
     class rho, which is how the verification suites check it.
     """
+    check_partition(lam)
     rho = check_cycle_type(rho)
     m = support(rho)
     ell = len(lam)

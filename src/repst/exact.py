@@ -167,8 +167,10 @@ class ExactPolynomial:
 
     def exact_div(self, other: "ExactPolynomial") -> "ExactPolynomial":
         """Divide exactly, raising NonDivisibleError on a nonzero remainder."""
-        other = self._coerce(other)
-        b, db = other.nums, other.den
+        divisor = self._coerce(other)
+        if divisor is NotImplemented:
+            raise TypeError(f"cannot divide a polynomial by {type(other).__name__}")
+        b, db = divisor.nums, divisor.den
         if not b:
             raise ZeroDivisionError("division by the zero polynomial")
         if b[-1] < 0:
@@ -189,7 +191,7 @@ class ExactPolynomial:
                 for j, y in enumerate(b, i):
                     rem[j] -= c * y
         if any(rem):
-            raise NonDivisibleError(f"{self} is not divisible by {other}")
+            raise NonDivisibleError(f"{self} is not divisible by {divisor}")
         return _make([q * db for q in quot], s * self.den)
 
     def scale(self, c: Scalar) -> "ExactPolynomial":

@@ -2,7 +2,7 @@
 
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the empty diagram.  Cells are 1-based (row, col) pairs.
-Corner moves are built from one-cell additions and one-cell removals.
+corner_moves, Pieri's cell-moves, joins one-cell additions and removals.
 
 A cycle type records only nontrivial cycles: entry i (0-based) counts
 cycles of length i + 2.  Fixed points are implied by the ambient n.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from operator import index
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 Partition = tuple[int, ...]
 CycleType = tuple[int, ...]
@@ -174,28 +174,16 @@ def _removed(lam: Partition) -> list[Partition]:
             for i, (row, below) in enumerate(zip(lam, lam[1:] + (0,))) if row > below]
 
 
-class CornerMoves(NamedTuple):
-    """The diagrams reachable from lam by one corner-cell move.
+def corner_moves(lam: Partition) -> list[Partition]:
+    """Every diagram one cell-move from lam, with multiplicity: each addable
+    cell added, each removable cell removed, and each removable cell removed
+    then a cell added anywhere, which gives lam once per removable cell.
 
-    added:   one addable cell appended
-    removed: one corner cell deleted
-    moved:   one corner deleted, then a cell added at a different position
-             (the unchanged diagram is excluded; it is counted by
-             corner_count instead)
-    """
-
-    added: frozenset[Partition]
-    removed: frozenset[Partition]
-    moved: frozenset[Partition]
-    corner_count: int
-
-
-def corner_moves(lam: Partition) -> CornerMoves:
-    """CornerMoves of lam: moved holds the additions to each removal, bar lam."""
+    The sizes |lam| + 1, |lam| - 1 and |lam| keep the kinds apart.  A moved
+    mu != lam comes from one (removed r, added a) pair only: r is the cell of
+    lam not in mu, a the cell of mu not in lam.  Counted, this is Pieri's rule."""
     removed = _removed(lam)
-    moved = {mu for shrunk in removed for mu in _added(shrunk)}
-    moved.discard(lam)
-    return CornerMoves(frozenset(_added(lam)), frozenset(removed), frozenset(moved), len(removed))
+    return _added(lam) + removed + [mu for shrunk in removed for mu in _added(shrunk)]
 
 
 def validity_start(lam: Partition, rho: CycleType = ()) -> int:

@@ -524,6 +524,21 @@ def test_tables_and_thresholds_reject_a_bad_cap_with_exit_2(capsys, monkeypatch,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--c", "1", "--k", "100000000"],
+     "error: k=100000000 exceeds the enumeration cap 40; raise REPST_LIMITS to allow it"),
+    (["--c", "1", "--k", "-1"], "error: k must be nonnegative, got -1"),
+    (["--k"], "error: argument --k: expected at least one argument"),
+    (["--c"], "error: argument --c: expected at least one argument"),
+])
+def test_thresholds_rejects_a_large_or_missing_budget_with_exit_2(argv, message):
+    """A k of 10^8 ran past any timeout, computing floor(C n^k) before its
+    first partition, and a bare --c or --k printed an empty table."""
+    done = run_cli_process("thresholds", "--n-max", "3", *argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[-1].endswith(message)
+
+
 # small arguments for every subcommand, so that each handler runs its own imports
 _EVERY_COMMAND = {
     "dim": ["--lambda", "2,1"],

@@ -87,6 +87,20 @@ def test_pieri_multiplicity_symmetry(lam, mu):
     assert dl.pieri(lam).get(mu, 0) == dl.pieri(mu).get(lam, 0)
 
 
+@pytest.mark.parametrize("bad", [(1, 2), (2, 0)])
+@pytest.mark.parametrize("entry", [
+    dl.dimension_poly,
+    lambda lam: dl.frobenius_coefficient(lam, ()),
+    dl.jm_eigenvalue,
+    dl.pieri,
+], ids=["dimension", "frobenius", "jm", "pieri"])
+def test_entry_points_reject_a_non_partition(entry, bad):
+    """Each returned a value before: dimension_poly((1, 2)) was
+    t^2/4 - 3t/4 and frobenius_coefficient((1, 2), ()) was 0."""
+    with pytest.raises(ValueError):
+        entry(bad)
+
+
 def test_jm_eigenvalue_known_values():
     assert dl.jm_eigenvalue(()) == (T * (T - 1)).scale(Fraction(1, 2))
     assert dl.jm_eigenvalue((1,)) == (T * (T - 3)).scale(Fraction(1, 2))

@@ -316,8 +316,10 @@ def test_polynomials_reject_non_rational_scalars(bad):
     lambda: partitions.check_partition([2.5, 1.9]),
     lambda: partitions.check_cycle_type([1.0]),
     lambda: deligne.class_size_poly((1.5,)),
+    lambda: T.exact_div("x"),
 ], ids=["lagrange-float", "binomial-str", "binomial-float", "lemma-scan", "find-threshold",
-        "irreducible-float", "irreducible-str", "partition", "cycle-type", "class-size"])
+        "irreducible-float", "irreducible-str", "partition", "cycle-type", "class-size",
+        "exact-div"])
 def test_no_float_or_string_enters_the_exact_engine(call):
     """Each was silently converted before: a float to its binary value, a
     string parsed, a fractional part truncated."""
