@@ -15,8 +15,10 @@ the hook product H(mu) = n! / hook_dim(mu) of each from one walk,
 _wide_hook_products, which builds the diagrams row by row from the bottom
 and shares the hooks of the lower rows between all the diagrams above them
 (the hook-length formula of Frame, Robinson and Thrall in its beta-number
-form, Fulton-Harris eq. 4.11).  The walk keeps only its depth-first stack,
-so a sweep caches no partitions.
+form, Fulton-Harris eq. 4.11), and read each dimension n!/H(mu) off it.
+The walk keeps only its depth-first stack, so a sweep caches no partitions.
+Only peel_identity_holds calls the oracle's hook_dim, to check the peeling
+step against it.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ def peel_identity_holds(mu: Partition) -> bool:
 
 def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:
     """(mu, hook product of mu) for every mu of n with mu_1 >= len(mu), each
-    once, in no fixed order.  The cap is checked here, at the call, not at
-    the first next().
+    once, in no fixed order, depth first.  The cap is checked at the first
+    next(), before any work.
 
     The rows are chosen bottom-up, each at least as long as the row below.
     The k-th row from the bottom (0-based) has beta-number row + k whatever
@@ -90,11 +92,6 @@ def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:
     dropped once no diagram above it can have a top row as long as its
     first column."""
     check_size_cap("n", n)
-    return _grow_wide(n)
-
-
-def _grow_wide(n: int) -> Iterator[tuple[Partition, int]]:
-    """_wide_hook_products(n) past its cap check, depth first."""
     # beta-numbers stay below 2n, since len(mu) <= mu_1 <= n
     factorials = list(accumulate(range(1, 2 * n + 1), mul, initial=1))
     # (rows chosen, top first; their beta-numbers, bottom first; least next
@@ -149,7 +146,8 @@ def bound_sweep(n: int) -> BoundSweepReport:
     mu_1 >= len(mu), counting each mu twice unless mu_1 = len(mu), since its
     conjugate is the partner the walk does not visit.  Per d = mu_1 it keeps
     the largest hook product, the least dimension, with the lexicographically
-    larger mu on a tie, and takes hook_dim only of these at most n winners.
+    larger mu on a tie, and reads each winner's dimension n!/H off the walk;
+    H divides n! exactly.
 
     (n) has dimension 1 and bound binom(n, n) = 1, and comes first in that
     order, so a passing sweep always reports slack 0 at (n): what it shows
@@ -165,8 +163,9 @@ def bound_sweep(n: int) -> BoundSweepReport:
         if best is None or (hooks, mu) > best:
             widest[d] = (hooks, mu)
     # descending d is descending lexicographic order, and min keeps the first
-    min_slack, argmin = min(((hook_dim(mu) - dimension_lower_bound(n, mu), mu)
-                             for _, (_, mu) in sorted(widest.items(), reverse=True)),
+    total = factorial(n)
+    min_slack, argmin = min(((total // hooks - dimension_lower_bound(n, mu), mu)
+                             for _, (hooks, mu) in sorted(widest.items(), reverse=True)),
                             key=itemgetter(0))
     return BoundSweepReport(n, count, min_slack, argmin)
 
@@ -204,10 +203,12 @@ def find_threshold(c: Fraction, k: int, n_max: int) -> tuple[int | None, list[Pa
     """Smallest N such that lemma_scan(c, k, n) is empty for every
     N <= n <= n_max, or None if even n_max has violations, together with
     lemma_scan(c, k, N - 1): the last counterexamples, empty when N is 1 or
-    None.  c is checked before any scan, and each n is one walk of
-    _wide_hook_products, which calls hook_dim for no partition and caches
-    none."""
+    None.  c, then n_max >= 1, are checked before any scan, and each n is
+    one walk of _wide_hook_products, which calls hook_dim for no partition
+    and caches none."""
     c = Fraction(*_ratio(c))
+    if n_max < 1:
+        raise SizeMismatchError(f"find_threshold needs n_max >= 1, got {n_max}")
     threshold = None
     for n in range(n_max, 0, -1):
         found = lemma_scan(c, k, n)

@@ -137,6 +137,8 @@ def cmd_bounds(args) -> Output:
 def cmd_thresholds(args) -> Output:
     from . import bounds
     check_size_cap("n_max", args.n_max)
+    for k in args.k:
+        check_size_cap("k", k)
     budgets = []
     lines = [f"{'C':>6} {'k':>3} {'threshold':>10}  last counterexamples"]
     for c in args.c:

@@ -210,46 +210,27 @@ def b_set(lam: Partition) -> frozenset[int]:
     return frozenset((lam[i] if i < len(lam) else 0) + n - 1 - i for i in range(n))
 
 
-def _zs1(n: int) -> Iterator[Partition]:
-    """Partitions of n, descending lexicographically, by the ZS1 algorithm
-    (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998).  The parts
-    live in one list whose entries after index h, the last part above 1,
-    are all 1; each step lowers x[h] by one and refills the cells after it
-    greedily with parts of at most the new x[h]."""
-    if n == 0:
-        yield ()
-        return
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0  # number of parts, index of the last part above 1
-    yield (n,)
-    while x[0] != 1:
-        if x[h] == 2:
-            x[h] = 1
-            h -= 1
-            m += 1
-        else:
-            r = x[h] - 1
-            t = m - h  # the cells to place after index h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield tuple(x[:m])
-
-
 @lru_cache(maxsize=None)
 def _partitions_of(n: int) -> tuple[Partition, ...]:
-    """partitions_of(n) past its cap check."""
-    return tuple(_zs1(n))
+    """partitions_of(n) past its cap check, by the reverse-lexicographic
+    step (Knuth, TAOCP vol. 4A, sec. 7.2.1.4): pop the trailing 1s, lower
+    the last part above 1 to top, and refill the cells popped, plus the one
+    freed, greedily with parts of at most top.  The remainder after the
+    parts of size top is between 1 and top, so it is always a part."""
+    parts = [n] if n else []
+    found = [tuple(parts)]
+    while len(parts) < n:  # (1, ..., 1) comes last
+        rest = 1
+        while parts[-1] == 1:
+            rest += parts.pop()
+        top = parts[-1] - 1
+        parts[-1] = top
+        while rest > top:
+            parts.append(top)
+            rest -= top
+        parts.append(rest)
+        found.append(tuple(parts))
+    return tuple(found)
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:

@@ -64,7 +64,7 @@ def test_criterion_01_closed_form_dimensions():
 
 def test_criterion_02_dimension_oracle_sweep():
     with criterion(2, "dimension polynomials match hook-length dimensions, |lam| <= 6, n <= 20",
-                   budget=10.0):
+                   budget=1.0):
         for lam in pt.partitions_up_to(6):
             poly = dl.dimension_poly(lam)
             for n in range(_validity_start(lam), 21):
@@ -73,7 +73,7 @@ def test_criterion_02_dimension_oracle_sweep():
 
 def test_criterion_03_pieri_polynomial_identity():
     with criterion(3, "corner-move decomposition satisfies the dimension identity, |lam| <= 8",
-                   budget=10.0):
+                   budget=1.0):
         for lam in pt.partitions_up_to(8):
             lhs = (T - 1) * dl.dimension_poly(lam)
             rhs = ExactPolynomial()
@@ -84,7 +84,7 @@ def test_criterion_03_pieri_polynomial_identity():
 
 def test_criterion_04_central_element_oracle():
     with criterion(4, "class-sum eigenvalues and characters match S_n, |lam| <= 4, moved <= 5, n <= 10",
-                   budget=60.0):
+                   budget=2.0):
         for lam in pt.partitions_up_to(4):
             for rho in sn.cycle_types_with_support_up_to(5):
                 omega = dl.central_eigenvalue_poly(rho, lam)
@@ -151,7 +151,7 @@ def test_criterion_09_verma_candidate_ranks():
 
 def test_criterion_10_appendix_dimension_bounds():
     with criterion(10, "dimension lower bound n <= 18, AM-GM n <= 12, scan window 10..15",
-                   budget=30.0):
+                   budget=1.0):
         for n in range(1, 19):
             report = bd.bound_sweep(n)
             assert report.passed, n

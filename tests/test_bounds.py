@@ -62,7 +62,7 @@ def test_bound_sweep_counts_every_partition_and_is_tight_at_the_row_through_40()
         assert (report.min_slack, report.argmin) == (0, (n,)), n
 
 
-def test_the_sweeps_take_hook_dim_only_for_the_winner_of_each_first_row(monkeypatch):
+def test_the_sweeps_never_call_hook_dim(monkeypatch):
     calls = []
 
     def counting(mu):
@@ -70,16 +70,14 @@ def test_the_sweeps_take_hook_dim_only_for_the_winner_of_each_first_row(monkeypa
         return sn.hook_dim(mu)
     monkeypatch.setattr(bd, "hook_dim", counting)
     bd.lemma_scan(Fraction(1), 1, 30)
-    assert calls == []
     bd.bound_sweep(30)
-    assert 0 < len(calls) <= len({mu[0] for mu in pt.partitions_of(30) if mu[0] >= len(mu)})
+    assert calls == []
 
 
 def test_the_sweeps_check_the_cap_when_called(monkeypatch):
     monkeypatch.delenv("REPST_LIMITS", raising=False)
     n = pt.enumeration_limit() + 1
-    for call in (lambda: bd.bound_sweep(n), lambda: bd.lemma_scan(Fraction(1), 1, n),
-                 lambda: bd._wide_hook_products(n)):
+    for call in (lambda: bd.bound_sweep(n), lambda: bd.lemma_scan(Fraction(1), 1, n)):
         with pytest.raises(pt.LimitExceededError, match=r"^n=41 exceeds"):
             call()
 
@@ -100,8 +98,7 @@ def test_a_failing_sweep_reports_the_first_partition_of_least_slack(monkeypatch)
             report = bd.bound_sweep(n)
             assert (report.min_slack, report.argmin) == (min_slack, argmin), (n, d)
     # every class at slack -1: the first partition of all, (n), is reported
-    monkeypatch.setattr(bd, "dimension_lower_bound", lambda n, mu: 1)
-    monkeypatch.setattr(bd, "hook_dim", lambda mu: 0)
+    monkeypatch.setattr(bd, "dimension_lower_bound", lambda n, mu: sn.hook_dim(mu) + 1)
     report = bd.bound_sweep(9)
     assert (report.min_slack, report.argmin) == (-1, (9,))
 
@@ -243,3 +240,10 @@ def test_find_threshold_none_when_last_point_fails():
 def test_find_threshold_rejects_a_float_budget_before_any_scan(n_max):
     with pytest.raises(TypeError):
         bd.find_threshold(0.5, 1, n_max)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_find_threshold_needs_a_positive_n_max(n_max):
+    # no n is scanned, so None would wrongly say n_max has counterexamples
+    with pytest.raises(sn.SizeMismatchError, match=rf"^find_threshold needs n_max >= 1, got {n_max}$"):
+        bd.find_threshold(Fraction(1), 1, n_max)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -404,7 +405,7 @@ def test_bounds_command(capsys):
 
 
 def test_a_bound_below_the_dimension_fails_and_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(bounds, "hook_dim", lambda mu: 0)
+    monkeypatch.setattr(bounds, "dimension_lower_bound", lambda n, mu: factorial(n) + 1)
     report = bounds.bound_sweep(5)
     assert report.passed is False and report.min_slack < 0
     assert report.to_json()["pass"] is False
@@ -414,7 +415,7 @@ def test_a_bound_below_the_dimension_fails_and_exits_1(capsys, monkeypatch):
 
 
 def _bound_below_the_dimension(monkeypatch):
-    monkeypatch.setattr(bounds, "hook_dim", lambda mu: 0)
+    monkeypatch.setattr(bounds, "dimension_lower_bound", lambda n, mu: factorial(n) + 1)
     return ["bounds", "--max-n", "5"]
 
 
@@ -537,6 +538,22 @@ def test_thresholds_rejects_a_large_or_missing_budget_with_exit_2(argv, message)
     done = run_cli_process("thresholds", "--n-max", "3", *argv)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.splitlines()[-1].endswith(message)
+
+
+def test_thresholds_checks_every_k_before_any_scan(capsys, monkeypatch):
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    calls = []
+    monkeypatch.setattr(bounds, "lemma_scan", lambda c, k, n: calls.append((c, k, n)) or [])
+    code, out, err = run_cli(capsys, "thresholds", "--n-max", "40", "--c", "1", "--k", "1", "41")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: k=41 exceeds the enumeration cap 40; raise REPST_LIMITS to allow it\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_thresholds_rejects_an_n_max_below_1_with_exit_2(capsys, extra):
+    """An --n-max below 1 scans no n, so there is no threshold to report."""
+    code, out, err = run_cli(capsys, "thresholds", "--n-max", "0", "--c", "1", "--k", "1", *extra)
+    assert (code, out, err) == (2, "", "error: find_threshold needs n_max >= 1, got 0\n")
 
 
 # small arguments for every subcommand, so that each handler runs its own imports
