@@ -14,6 +14,7 @@ Modules by topic:
   groupalg    Hilbert coefficients of the filtered group algebra
   bounds      exact dimension lower bounds
   verify      batch identity sweeps used by the CLI and the acceptance tests
+  cli         the `repst` command, the only writer of the JSON wire format
 
 The root holds only __version__; import names from their submodules.
 """

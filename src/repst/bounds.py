@@ -30,7 +30,7 @@ from math import comb, factorial, floor, prod
 from operator import itemgetter, mul
 from typing import Iterator
 
-from .exact import _ratio, rational_to_json
+from .exact import _ratio
 from .partitions import Partition, check_size_cap, conjugate, format_partition
 from .snoracle import SizeMismatchError, hook_dim
 
@@ -122,16 +122,6 @@ class BoundSweepReport:
     @property
     def passed(self) -> bool:
         return self.min_slack >= 0
-
-    def to_json(self) -> dict:
-        return {
-            "check": "bound-sweep",
-            "n": self.n,
-            "partitions": self.partition_count,
-            "pass": self.passed,
-            "minSlack": rational_to_json(self.min_slack),
-            "argmin": format_partition(self.argmin),
-        }
 
 
 def bound_sweep(n: int) -> BoundSweepReport:

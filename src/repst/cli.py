@@ -1,11 +1,18 @@
-"""Command-line front end.
+"""Command-line front end, and the only writer of the JSON wire format.
 
 Every operation of the library is reachable as a subcommand, with
 human-readable output by default and a stable JSON schema under --json,
 the appendix threshold scan (`thresholds`) and table export (`tables`) too.
-Each `cmd_*` handler only computes: it returns `(payload, lines)`, the JSON
-object and the text lines of its answer, and `main` alone prints one of
-them and picks the exit code.
+The library returns values and reports; each `cmd_*` handler turns them into
+`(payload, lines)`, the JSON object and the text lines of its answer, and
+`main` alone prints one of them and picks the exit code.
+
+Wire format: {"basis": "monomial"|"binomial",
+              "coeffs": [[numerator, denominator], ...]}
+with numerators and denominators as decimal strings (arbitrary precision);
+rational_to_json writes that pair for every rational the CLI reports.
+Partitions and cycle types are written as their comma-separated parts.
+
 Exit codes: 0 success, 1 the payload says `"pass": false` (a verify suite
 or the bounds sweep found a failure), 2 malformed usage, 3 an exact
 computation broke down (a division with a remainder, a series coefficient
@@ -22,7 +29,8 @@ import sys
 from fractions import Fraction
 
 from . import deligne, groupalg
-from .exact import NonDivisibleError, OutOfBoundsError, poly_to_json, rational_to_json, to_binomial_basis
+from .exact import (BinomialBasisPolynomial, ExactPolynomial, NonDivisibleError, OutOfBoundsError, Scalar,
+                    to_binomial_basis)
 from .partitions import (InvariantError, _counts, check_size_cap, format_cycle_type, format_partition,
                          parse_cycle_type, parse_partition, partitions_up_to)
 
@@ -31,6 +39,41 @@ USAGE_ERROR = 2
 COMPUTATION_ERROR = 3
 
 Output = tuple[dict, list[str]]  # (JSON payload, text lines); empty lines would print a blank line
+
+
+def rational_to_json(q: Scalar) -> list[str]:
+    return [str(q.numerator), str(q.denominator)]
+
+
+def poly_to_json(p) -> dict:
+    if isinstance(p, ExactPolynomial):
+        basis = "monomial"
+    elif isinstance(p, BinomialBasisPolynomial):
+        basis = "binomial"
+    else:
+        raise TypeError(f"cannot serialize {type(p).__name__}")
+    return {"basis": basis, "coeffs": [rational_to_json(c) for c in p.coeffs]}
+
+
+def bound_sweep_to_json(report) -> dict:
+    """A bounds.BoundSweepReport as `repst bounds --json` writes it."""
+    return {"check": "bound-sweep", "n": report.n, "partitions": report.partition_count,
+            "pass": report.passed, "minSlack": rational_to_json(report.min_slack),
+            "argmin": format_partition(report.argmin)}
+
+
+def _where(where: dict) -> dict:
+    """A failure's inputs as written: partitions and cycle types comma-separated."""
+    return {key: format_partition(value) if isinstance(value, tuple) else value
+            for key, value in where.items()}
+
+
+def suite_to_json(report) -> dict:
+    """A verify.SuiteReport as `repst verify --json` writes it, elapsed in ms steps."""
+    return {"suite": report.suite, "checks": report.checks, "pass": report.passed,
+            "failures": [{"check": f.check, "where": _where(f.where), "detail": f.detail}
+                         for f in report.failures],
+            "elapsed": round(report.elapsed, 3)}
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -62,7 +105,8 @@ def cmd_dim(args) -> Output:
 
 def cmd_pieri(args) -> Output:
     lam = parse_partition(args.lam)
-    entries = deligne.decomposition_to_json(deligne.pieri(lam))
+    terms = sorted(deligne.pieri(lam).items(), key=lambda term: (sum(term[0]), term[0]))
+    entries = [{"partition": format_partition(mu), "mult": mult} for mu, mult in terms]
     return ({"lambda": format_partition(lam), "terms": entries},
             [f"lambda = {format_partition(lam)}"]
             + [f"  [{entry['partition']}] x {entry['mult']}" for entry in entries])
@@ -128,7 +172,7 @@ def cmd_stirling(args) -> Output:
 def cmd_bounds(args) -> Output:
     from . import bounds
     report = bounds.bound_sweep(args.max_n)
-    return (report.to_json(),
+    return (bound_sweep_to_json(report),
             [f"n = {report.n}: {report.partition_count} partitions, "
              f"min slack {report.min_slack} at [{format_partition(report.argmin)}], "
              f"{'pass' if report.passed else 'FAIL'}"])
@@ -139,6 +183,10 @@ def cmd_thresholds(args) -> Output:
     check_size_cap("n_max", args.n_max)
     for k in args.k:
         check_size_cap("k", k)
+    for flag, values in (("--c", args.c), ("--k", args.k)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{flag} repeats {value}")
     budgets = []
     lines = [f"{'C':>6} {'k':>3} {'threshold':>10}  last counterexamples"]
     for c in args.c:
@@ -180,8 +228,8 @@ def cmd_verify(args) -> Output:
     lines = []
     for r in reports:
         lines.append(f"{r.suite}: {r.checks} checks, {'pass' if r.passed else 'FAIL'} ({r.elapsed:.2f}s)")
-        lines += [f"  FAIL {f.check} {f.where}: {f.detail}" for f in r.failures]
-    return {"pass": all(r.passed for r in reports), "suites": [r.to_json() for r in reports]}, lines
+        lines += [f"  FAIL {f.check} {_where(f.where)}: {f.detail}" for f in r.failures]
+    return {"pass": all(r.passed for r in reports), "suites": [suite_to_json(r) for r in reports]}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:

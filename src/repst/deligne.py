@@ -178,10 +178,3 @@ def certify_integer_valued(p: ExactPolynomial) -> BinomialBasisPolynomial:
         if c.denominator != 1:
             raise NotIntegerValuedError(j, c)
     return b
-
-
-def decomposition_to_json(decomp: Decomposition) -> list[dict]:
-    return [
-        {"partition": partitions.format_partition(mu), "mult": mult}
-        for mu, mult in sorted(decomp.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    ]

@@ -383,41 +383,6 @@ def lagrange_interpolate(values: Sequence[Scalar]) -> ExactPolynomial:
     return BinomialBasisPolynomial(_forward_differences(values)).to_monomial()
 
 
-# --- JSON serialization -----------------------------------------------------
-#
-# Wire format: {"basis": "monomial"|"binomial",
-#               "coeffs": [[numerator, denominator], ...]}
-# with numerators and denominators as decimal strings (arbitrary precision);
-# rational_to_json writes that pair for every rational the CLI reports.
-
-
-def rational_to_json(q: Scalar) -> list[str]:
-    return [str(q.numerator), str(q.denominator)]
-
-
-def poly_to_json(p) -> dict:
-    if isinstance(p, ExactPolynomial):
-        basis = "monomial"
-    elif isinstance(p, BinomialBasisPolynomial):
-        basis = "binomial"
-    else:
-        raise TypeError(f"cannot serialize {type(p).__name__}")
-    return {
-        "basis": basis,
-        "coeffs": [rational_to_json(c) for c in p.coeffs],
-    }
-
-
-def poly_from_json(data: Mapping):
-    coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
-    basis = data["basis"]
-    if basis == "monomial":
-        return ExactPolynomial(coeffs)
-    if basis == "binomial":
-        return BinomialBasisPolynomial(coeffs)
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 # --- Truncated multivariate power series ------------------------------------
 
 

@@ -116,8 +116,8 @@ def parse_cycle_type(text: str) -> CycleType:
     return rho
 
 
-def format_cycle_type(rho: CycleType) -> str:
-    return ",".join(str(c) for c in rho)
+# a cycle type is written like a partition: its parts comma-separated
+format_cycle_type = format_partition
 
 
 def support(rho: CycleType) -> int:

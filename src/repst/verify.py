@@ -2,10 +2,10 @@
 classical oracle, every polynomial identity at its full documented range.
 
 Each suite returns a SuiteReport listing the individual comparisons that
-failed (none, on a correct build).  The CLI exposes these under
-`repst verify --suite ...` through run_suites, which times them;
-acceptance criterion 11 runs the oracle suite against a deliberately
-flipped content sign.
+failed (none, on a correct build), each with its inputs as values.  The CLI
+exposes these under `repst verify --suite ...` through run_suites, which
+times them, and writes the reports as text or JSON; acceptance criterion 11
+runs the oracle suite against a deliberately flipped content sign.
 """
 
 from __future__ import annotations
@@ -18,22 +18,14 @@ from time import perf_counter
 
 from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
 from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, binomial_poly
-from .partitions import format_cycle_type, format_partition, partitions_up_to, validity_start
-
-
-def _force(value):
-    """value itself, or its result if it is a zero-argument callable."""
-    return value() if callable(value) else value
+from .partitions import format_partition, partitions_up_to, validity_start
 
 
 @dataclass
 class Failure:
     check: str
-    where: dict
+    where: dict  # the inputs: ints, strings, and partitions or cycle types as tuples
     detail: str
-
-    def to_json(self) -> dict:
-        return {"check": self.check, "where": self.where, "detail": self.detail}
 
 
 @dataclass
@@ -47,26 +39,16 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, check: str, where: dict | Callable[[], dict],
-               detail: str | Callable[[], str] = ""):
-        """Count one check.  where and detail may be zero-argument callables;
-        they are called only for a failing check, so a pass formats nothing."""
+    def record(self, ok: bool, check: str, where: dict, detail: str | Callable[[], str] = ""):
+        """Count one check.  detail may be a zero-argument callable; it is
+        called only for a failing check, so a pass formats nothing."""
         self.checks += 1
         if not ok:
-            self.failures.append(Failure(check, _force(where), _force(detail)))
+            self.failures.append(Failure(check, where, detail() if callable(detail) else detail))
 
-    def expect(self, check: str, where: dict | Callable[[], dict], expected, got):
+    def expect(self, check: str, where: dict, expected, got):
         """Record the comparison got == expected, reporting both on failure."""
         self.record(got == expected, check, where, lambda: f"expected {expected}, got {got}")
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": self.checks,
-            "pass": self.passed,
-            "failures": [f.to_json() for f in self.failures],
-            "elapsed": round(self.elapsed, 3),
-        }
 
 
 def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
@@ -88,13 +70,12 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
         dim, jm = deligne.dimension_poly(lam), deligne.jm_eigenvalue(lam)
         jm_start = validity_start(lam, (1,))  # never below validity_start(lam)
         for n in range(validity_start(lam), dim_n + 1):
-            def where():
-                return {"lambda": format_partition(lam), "n": n}
+            where = {"lambda": lam, "n": n}
             mu = partitions.pad(lam, n)
             report.expect("dim-oracle", where, snoracle.hook_dim(mu), dim(n))
             if n >= jm_start:
                 report.expect("jm-oracle", where, snoracle.central_eigenvalue(n, (1,), mu), jm(n))
-        _certify(report, dim, "integrality-dim", lambda: {"lambda": format_partition(lam)})
+        _certify(report, dim, "integrality-dim", {"lambda": lam})
 
     cycle_types = snoracle.cycle_types_with_support_up_to(max_m)
     for lam in partitions_up_to(cen_size):
@@ -102,35 +83,28 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
             frob = deligne.frobenius_coefficient(lam, rho)
             omega = deligne.central_eigenvalue_poly(rho, lam)
             for n in range(validity_start(lam, rho), cen_n + 1):
-                def where():
-                    return {"lambda": format_partition(lam),
-                            "rho": format_cycle_type(rho), "n": n}
+                where = {"lambda": lam, "rho": rho, "n": n}
                 mu = partitions.pad(lam, n)
                 report.expect("character-shadow", where, snoracle.character(mu, rho), frob(n))
                 report.expect("central-oracle", where,
                               snoracle.central_eigenvalue(n, rho, mu), omega(n))
-            _certify(report, omega, "integrality-central",
-                     lambda: {"lambda": format_partition(lam), "rho": format_cycle_type(rho)})
+            _certify(report, omega, "integrality-central", {"lambda": lam, "rho": rho})
 
     for rho in cycle_types:
-        _certify(report, deligne.class_size_poly(rho), "integrality-class-size",
-                 lambda: {"rho": format_cycle_type(rho)})
+        _certify(report, deligne.class_size_poly(rho), "integrality-class-size", {"rho": rho})
 
     stab_types = snoracle.cycle_types_with_support_up_to(min(max_m, 4))
     for lam in partitions_up_to(min(cen_size, 4)):
         for rho in stab_types:
             same = deligne.frobenius_coefficient(lam, rho) == \
                 deligne.frobenius_coefficient(lam, rho, variables=len(lam) + 1)
-            report.record(same, "variable-stability",
-                          lambda: {"lambda": format_partition(lam),
-                                   "rho": format_cycle_type(rho)},
+            report.record(same, "variable-stability", {"lambda": lam, "rho": rho},
                           "coefficient changed when adding a variable")
 
     return report
 
 
-def _certify(report: SuiteReport, poly: ExactPolynomial, check: str,
-             where: dict | Callable[[], dict]):
+def _certify(report: SuiteReport, poly: ExactPolynomial, check: str, where: dict):
     try:
         deligne.certify_integer_valued(poly)
         report.record(True, check, where)
@@ -148,14 +122,13 @@ def pieri_suite(*, max_size: int = 8) -> SuiteReport:
         rhs = ExactPolynomial()
         for mu, mult in decomp.items():
             rhs = rhs + deligne.dimension_poly(mu).scale(mult)
-        report.expect("pieri-dimension", lambda: {"lambda": format_partition(lam)}, lhs, rhs)
+        report.expect("pieri-dimension", {"lambda": lam}, lhs, rhs)
     for lam, decomp in decomps.items():
         for mu, mult in decomp.items():
             if mu not in decomps:
                 continue
             back = decomps[mu].get(lam, 0)
-            report.record(back == mult, "pieri-symmetry",
-                          lambda: {"lambda": format_partition(lam), "mu": format_partition(mu)},
+            report.record(back == mult, "pieri-symmetry", {"lambda": lam, "mu": mu},
                           lambda: f"multiplicity {mult} one way, {back} back")
     return report
 
@@ -191,8 +164,7 @@ def bounds_suite(*, max_n: int = 18) -> SuiteReport:
                       lambda: f"min slack {sweep.min_slack} at {format_partition(sweep.argmin)}")
     for n in range(1, min(12, max_n) + 1):
         for mu in partitions.partitions_of(n):
-            report.record(bounds.amgm_check(mu), "amgm",
-                          lambda: {"mu": format_partition(mu)}, "inequality failed")
+            report.record(bounds.amgm_check(mu), "amgm", {"mu": mu}, "inequality failed")
     if max_n >= 15:
         for n in range(10, 16):
             violations = bounds.lemma_scan(Fraction(1), 1, n)
@@ -226,8 +198,7 @@ def graded_suite(*, degree: int = 6) -> SuiteReport:
         product = TruncatedSeries.constant((6,), 1)
         for n in range(7):
             report.record(power.eval_t(n) == product, "integer-specialization",
-                          lambda: {"h": ",".join(map(str, coeffs)), "n": n},
-                          "t = n specialization differs from the n-fold product")
+                          {"h": coeffs, "n": n}, "t = n specialization differs from the n-fold product")
             product = product * base
     return report
 

@@ -1,7 +1,11 @@
 from collections import Counter
+from collections.abc import Mapping
+from fractions import Fraction
 
 import hypothesis
 from hypothesis import strategies as st
+
+from repst.exact import BinomialBasisPolynomial, ExactPolynomial
 
 hypothesis.settings.register_profile("default", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("default")
@@ -16,6 +20,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def poly_from_json(data: Mapping):
+    """The polynomial that `repst ... --json` wrote in the wire format."""
+    coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
+    basis = data["basis"]
+    if basis == "monomial":
+        return ExactPolynomial(coeffs)
+    if basis == "binomial":
+        return BinomialBasisPolynomial(coeffs)
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 @st.composite

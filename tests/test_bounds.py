@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repst import bounds as bd, partitions as pt, snoracle as sn
+from repst import bounds as bd, cli, partitions as pt, snoracle as sn
 from conftest import partition_strategy
 
 
@@ -138,7 +138,7 @@ def test_bound_sweep_n18_has_385_partitions():
 
 
 def test_bound_sweep_json():
-    data = bd.bound_sweep(4).to_json()
+    data = cli.bound_sweep_to_json(bd.bound_sweep(4))
     assert data["check"] == "bound-sweep"
     assert data["pass"] is True
     assert data["partitions"] == 5

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from repst import bounds, cli, deligne, partitions, schurweyl, snoracle, verify
-from repst.exact import ExactPolynomial, NonDivisibleError, OutOfBoundsError, T, poly_from_json
+from repst.exact import ExactPolynomial, NonDivisibleError, OutOfBoundsError, T
 from repst.partitions import format_cycle_type, format_partition, parse_partition, partitions_up_to
+from conftest import poly_from_json
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +61,17 @@ def test_pieri_empty(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["terms"] == [{"partition": "1", "mult": 1}]
+
+
+def test_pieri_json_sorts_terms_by_size_then_partition(capsys):
+    code, out, _ = run_cli(capsys, "pieri", "--lambda", "2,1", "--json")
+    assert code == 0
+    assert json.loads(out)["terms"] == [
+        {"partition": "1,1", "mult": 1}, {"partition": "2", "mult": 1},
+        {"partition": "1,1,1", "mult": 1}, {"partition": "2,1", "mult": 2},
+        {"partition": "3", "mult": 1}, {"partition": "2,1,1", "mult": 1},
+        {"partition": "2,2", "mult": 1}, {"partition": "3,1", "mult": 1},
+    ]
 
 
 def test_omega_m_matches_jm(capsys):
@@ -352,7 +364,7 @@ def test_verify_formats_failure_text_only_for_a_failing_check(monkeypatch):
     report.expect("same", {}, T, T)
     report.expect("differs", {"n": 1}, T, T - 1)
     assert report.checks == 2
-    assert [f.to_json() for f in report.failures] == [
+    assert cli.suite_to_json(report)["failures"] == [
         {"check": "differs", "where": {"n": 1}, "detail": "expected t, got t - 1"}]
 
     def refuse(self):
@@ -374,8 +386,8 @@ def test_passing_pieri_and_bounds_suites_format_no_partition(monkeypatch):
     assert verify.bounds_suite().passed
     assert calls == []
     report = verify.SuiteReport("demo")
-    report.record(False, "lazy", lambda: {"mu": counting((2, 1))}, lambda: "detail")
-    assert [f.to_json() for f in report.failures] == [
+    report.record(False, "lazy", {"mu": (2, 1)}, lambda: "detail")
+    assert cli.suite_to_json(report)["failures"] == [
         {"check": "lazy", "where": {"mu": "2,1"}, "detail": "detail"}]
 
 
@@ -389,12 +401,28 @@ def test_passing_oracle_stirling_and_graded_suites_format_nothing(monkeypatch):
         return wrapped
     for module in (verify, bounds, partitions, schurweyl, snoracle):
         monkeypatch.setattr(module, "format_partition", counting(format_partition))
-    for module in (verify, partitions):
-        monkeypatch.setattr(module, "format_cycle_type", counting(format_cycle_type))
+    monkeypatch.setattr(partitions, "format_cycle_type", counting(format_cycle_type))
     assert verify.oracle_suite().passed
     assert verify.stirling_suite().passed
     assert verify.graded_suite().passed
     assert calls == []
+
+
+def test_a_failure_writes_its_partitions_comma_separated_in_both_formats(capsys, monkeypatch):
+    report = verify.SuiteReport("demo", checks=3, elapsed=0.123456)
+    report.record(False, "shape", {"lambda": (2, 1), "rho": (), "n": 5}, "detail")
+    monkeypatch.setattr(verify, "run_suites", lambda name, **limits: [report])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "pieri")
+    assert (code, out) == (1, "demo: 4 checks, FAIL (0.12s)\n"
+                              "  FAIL shape {'lambda': '2,1', 'rho': '', 'n': 5}: detail\n")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "pieri", "--json")
+    assert (code, out) == (1, '{"pass": false, "suites": [{"suite": "demo", "checks": 4, "pass": false, '
+                              '"failures": [{"check": "shape", "where": {"lambda": "2,1", "rho": "", "n": 5}, '
+                              '"detail": "detail"}], "elapsed": 0.123}]}\n')
+
+
+def test_suite_json_rounds_elapsed_to_milliseconds():
+    assert cli.suite_to_json(verify.SuiteReport("demo", elapsed=0.123456))["elapsed"] == 0.123
 
 
 def test_bounds_command(capsys):
@@ -408,7 +436,7 @@ def test_a_bound_below_the_dimension_fails_and_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(bounds, "dimension_lower_bound", lambda n, mu: factorial(n) + 1)
     report = bounds.bound_sweep(5)
     assert report.passed is False and report.min_slack < 0
-    assert report.to_json()["pass"] is False
+    assert cli.bound_sweep_to_json(report)["pass"] is False
     code, out, _ = run_cli(capsys, "bounds", "--max-n", "5")
     assert code == 1
     assert out.endswith(", FAIL\n")
@@ -547,6 +575,21 @@ def test_thresholds_checks_every_k_before_any_scan(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "thresholds", "--n-max", "40", "--c", "1", "--k", "1", "41")
     assert (code, out, calls) == (2, "", [])
     assert err == "error: k=41 exceeds the enumeration cap 40; raise REPST_LIMITS to allow it\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("budgets, message", [
+    (["--c", "1", "1", "--k", "1"], "--c repeats 1"),
+    (["--c", "2", "1", "2/1", "--k", "1"], "--c repeats 2"),
+    (["--c", "1", "--k", "0", "1", "0"], "--k repeats 0"),
+    (["--c", "1", "1", "--k", "1", "1"], "--c repeats 1"),
+], ids=["c", "equal-fractions", "k", "both"])
+def test_thresholds_rejects_a_repeated_budget_before_any_scan(capsys, monkeypatch, budgets, message, extra):
+    """A repeated --c or --k scanned the same budget again and printed its row twice."""
+    calls = []
+    monkeypatch.setattr(bounds, "find_threshold", lambda c, k, n_max: calls.append((c, k, n_max)) or (1, []))
+    code, out, err = run_cli(capsys, "thresholds", "--n-max", "5", *budgets, *extra)
+    assert (code, out, err, calls) == (2, "", f"error: {message}\n", [])
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])

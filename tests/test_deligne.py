@@ -251,15 +251,6 @@ def test_division_guard_fires_on_corrupted_numerator():
         bad.exact_div(dl.dimension_poly((1,)))
 
 
-def test_decomposition_json_roundtrip():
-    assert dl.decomposition_to_json(dl.pieri((2, 1))) == [
-        {"partition": "1,1", "mult": 1}, {"partition": "2", "mult": 1},
-        {"partition": "1,1,1", "mult": 1}, {"partition": "2,1", "mult": 2},
-        {"partition": "3", "mult": 1}, {"partition": "2,1,1", "mult": 1},
-        {"partition": "2,2", "mult": 1}, {"partition": "3,1", "mult": 1},
-    ]
-
-
 @pytest.mark.parametrize("lam, rho", [((2, 1), (1,)), ((1, 1, 1), (0, 1)), ((3,), (2,))])
 def test_frobenius_takes_no_product_by_the_one_series(lam, rho, monkeypatch):
     expected = dl.frobenius_coefficient(lam, rho)

@@ -23,10 +23,10 @@ from repst.exact import (
     falling_factorial_poly,
     lagrange_interpolate,
     linear_product,
-    poly_from_json,
-    poly_to_json,
     to_binomial_basis,
 )
+from repst.cli import poly_to_json
+from conftest import poly_from_json
 
 fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 coefficient_lists = st.lists(fractions, max_size=13)

@@ -1,7 +1,8 @@
 """The oracle stays independent: checked on the import statements in the
 source, so an import inside a function counts as well.  Invariants are
 checked with typed exceptions, never with assert, which python -O strips.
-Every name the benchmark traces or reads a cache from still exists."""
+Only the CLI writes JSON.  Every name the benchmark traces or reads a cache
+from still exists."""
 
 import ast
 import importlib
@@ -60,6 +61,16 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_the_cli_writes_json():
+    """The library returns values and reports; cli alone turns them into the wire format."""
+    library = [path for path in sorted(SOURCE.glob("*.py")) if path.name != "cli.py"]
+    assert [path.name for path in library if "json" in _imported_names(path.stem)] == []
+    assert [f"{path.name}:{node.lineno} {node.name}"
+            for path in library
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("to_json")] == []
 
 
 def _benchmark_layers():
