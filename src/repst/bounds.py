@@ -17,8 +17,8 @@ and shares the hooks of the lower rows between all the diagrams above them
 (the hook-length formula of Frame, Robinson and Thrall in its beta-number
 form, Fulton-Harris eq. 4.11), and read each dimension n!/H(mu) off it.
 The walk keeps only its depth-first stack, so a sweep caches no partitions.
-Only peel_identity_holds calls the oracle's hook_dim, to check the peeling
-step against it.
+Like every module but verify, this one imports nothing from the oracle,
+snoracle.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from operator import itemgetter, mul
 from typing import Iterator
 
 from .exact import _ratio
-from .partitions import Partition, check_size_cap, conjugate, format_partition
-from .snoracle import SizeMismatchError, hook_dim
+from .partitions import Partition, SizeMismatchError, check_size_cap, conjugate, format_partition
 
 
 def dimension_lower_bound(n: int, mu: Partition) -> Fraction:
@@ -65,17 +64,6 @@ def amgm_check(mu: Partition) -> bool:
     d = mu[0]
     col_product = prod(conjugate(mu))
     return prod(row_peel_factors(mu)) <= col_product <= Fraction(n, d) ** d
-
-
-def peel_identity_holds(mu: Partition) -> bool:
-    """Exact form of the row-peeling step: for nonempty mu with first row d,
-
-        hook_dim(mu) * prod_i (1 + (c_i - 1)/i) == hook_dim(mu') * binom(n, d)
-
-    where mu' is mu without its first row."""
-    if not mu:
-        return True
-    return hook_dim(mu) * prod(row_peel_factors(mu)) == hook_dim(mu[1:]) * comb(sum(mu), mu[0])
 
 
 def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:

@@ -28,17 +28,27 @@ import json
 import sys
 from fractions import Fraction
 
-from . import deligne, groupalg
+from . import deligne
 from .exact import (BinomialBasisPolynomial, ExactPolynomial, NonDivisibleError, OutOfBoundsError, Scalar,
                     to_binomial_basis)
-from .partitions import (InvariantError, _counts, check_size_cap, format_cycle_type, format_partition,
-                         parse_cycle_type, parse_partition, partitions_up_to)
+from .partitions import (InvariantError, _counts, check_size_cap, cycle_types_with_support_up_to,
+                         format_cycle_type, format_partition, parse_cycle_type, parse_partition,
+                         partitions_up_to)
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 3
 
 Output = tuple[dict, list[str]]  # (JSON payload, text lines); empty lines would print a blank line
+
+# why `repst stirling` reports no "total dimension" at formal rank
+ORDER_CAVEAT = (
+    "Substituting x = 1 into the Hilbert series term by term would "
+    "suggest a total dimension of Gamma(1 + t), matching t! at integer "
+    "rank, but the series in x has zero radius of convergence, so that "
+    "substitution defines no value.  This tool therefore reports "
+    "coefficients only and never evaluates the series at a point."
+)
 
 
 def rational_to_json(q: Scalar) -> list[str]:
@@ -164,6 +174,7 @@ def cmd_branch(args) -> Output:
 
 
 def cmd_stirling(args) -> Output:
+    from . import groupalg
     table = groupalg.coefficient_table(args.max_m)
     return ({str(m): poly_to_json(p) for m, p in table.items()},
             [f"  x^{m}: {p}" for m, p in table.items()])
@@ -206,7 +217,6 @@ def cmd_thresholds(args) -> Output:
 
 
 def cmd_tables(args) -> Output:
-    from .snoracle import cycle_types_with_support_up_to
     check_size_cap("max_size", args.max_size)
     check_size_cap("max_m", args.max_m)
     lams = list(partitions_up_to(args.max_size))
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("stirling", cmd_stirling,
             "Hilbert coefficients of the filtered group algebra",
-            epilog=groupalg.order_remark())
+            epilog=ORDER_CAVEAT)
     p.add_argument("--max-m", type=int, default=4, help="largest coefficient index")
 
     p = add("bounds", cmd_bounds, "dimension lower-bound sweep over all partitions of n")

@@ -81,10 +81,6 @@ class ExactPolynomial:
         return tuple(Fraction(n, den) for n in self.nums)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial given degree -1."""
         return len(self.nums) - 1

@@ -103,13 +103,3 @@ def coefficient_table(m_max: int) -> dict[int, ExactPolynomial]:
     check_size_cap("m_max", m_max)
     return {m: hilbert_coefficient(m) for m in range(m_max + 1)}
 
-
-def order_remark() -> str:
-    """Why no "total dimension" number is ever reported for formal rank."""
-    return (
-        "Substituting x = 1 into the Hilbert series term by term would "
-        "suggest a total dimension of Gamma(1 + t), matching t! at integer "
-        "rank, but the series in x has zero radius of convergence, so that "
-        "substitution defines no value.  This tool therefore reports "
-        "coefficients only and never evaluates the series at a point."
-    )

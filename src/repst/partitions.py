@@ -6,6 +6,7 @@ corner_moves, Pieri's cell-moves, joins one-cell additions and removals.
 
 A cycle type records only nontrivial cycles: entry i (0-based) counts
 cycles of length i + 2.  Fixed points are implied by the ambient n.
+cycle_types_with_support_up_to lists the cycle types by moved points.
 
 validity_start(lam, rho) is the first rank n with a padded partition of n
 and room for the cycles of rho; interpolated identities hold from there on.
@@ -31,6 +32,11 @@ class PadTooSmallError(ValueError):
 
 class LimitExceededError(ValueError):
     """Partition enumeration was requested beyond the configured cap."""
+
+
+class SizeMismatchError(ValueError):
+    """A size does not fit its data: fewer points than the cycles move, a
+    partition of another size, or a size below 1 where one is needed."""
 
 
 class BadLimitError(ValueError):
@@ -123,6 +129,23 @@ format_cycle_type = format_partition
 def support(rho: CycleType) -> int:
     """Number of points moved: sum of m_i * (i + 1) with cycle length i + 1."""
     return sum(c * (i + 2) for i, c in enumerate(rho))
+
+
+def cycle_type_of_partition(shape: Partition) -> CycleType:
+    """Cycle type of a permutation whose cycle lengths are the parts of shape."""
+    counts = [0] * (max(shape, default=1) - 1)
+    for part in shape:
+        if part >= 2:
+            counts[part - 2] += 1
+    return check_cycle_type(counts)
+
+
+def cycle_types_with_support_up_to(m_max: int) -> list[CycleType]:
+    """All cycle types moving at most m_max points, identity included,
+    ordered by (support, cycle type).  A type moving exactly k points is
+    the cycle type of a partition of k with no part equal to 1."""
+    return sorted((cycle_type_of_partition(shape) for shape in partitions_up_to(m_max)
+                   if 1 not in shape), key=lambda r: (support(r), r))
 
 
 def conjugate(lam: Partition) -> Partition:

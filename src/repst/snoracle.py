@@ -1,14 +1,16 @@
 """Classical symmetric-group reference computations.
 
-Dimensions, Murnaghan-Nakayama characters and conjugacy-class sizes for
-honest S_n.  The first two work on beta-numbers: a border strip lowers one
-beta-number, and the character recursion ends in Frobenius's dimension
-formula (Macdonald, Symmetric Functions and Hall Polynomials, I.1, I.7).
-This module is the ground truth that the rank interpolations elsewhere are
-checked against, so it must not import from them; everything here is
-textbook S_n combinatorics.  Its dimension formula shares no code with
+Dimensions, Murnaghan-Nakayama characters, conjugacy-class sizes and
+central eigenvalues for honest S_n.  The first two work on beta-numbers: a
+border strip lowers one beta-number, and the character recursion ends in
+Frobenius's dimension formula (Macdonald, Symmetric Functions and Hall
+Polynomials, I.1, I.7).  This module is the ground truth that the rank
+interpolations elsewhere are checked against, so it must not import from
+them, and only the checks in verify import it; everything here is textbook
+S_n combinatorics.  Its dimension formula shares no code with
 partitions.hook_product, which the interpolated dimensions divide by.  The
-cycle-type format it reads is defined in partitions.
+cycle-type format it reads, and the list of cycle types, are defined in
+partitions.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ from itertools import combinations, starmap
 from math import factorial, prod
 from operator import sub
 
-from .partitions import (CycleType, InvariantError, Partition, check_cycle_type, format_partition,
-                         partitions_up_to, support)
-
-
-class SizeMismatchError(ValueError):
-    """The partition is too small to contain the requested cycles."""
+# cycle_types_with_support_up_to is re-exported for the benchmark, which reads it here
+from .partitions import (CycleType, InvariantError, Partition, SizeMismatchError, check_cycle_type,
+                         cycle_types_with_support_up_to, format_partition, support)
 
 
 def cycle_lengths(rho: CycleType) -> tuple[int, ...]:
@@ -33,15 +32,6 @@ def cycle_lengths(rho: CycleType) -> tuple[int, ...]:
     for i, c in enumerate(rho):
         lengths.extend([i + 2] * c)
     return tuple(sorted(lengths, reverse=True))
-
-
-def cycle_type_of_partition(shape: Partition) -> CycleType:
-    """Cycle type of a permutation whose cycle lengths are the parts of shape."""
-    counts = [0] * (max(shape, default=1) - 1)
-    for part in shape:
-        if part >= 2:
-            counts[part - 2] += 1
-    return check_cycle_type(counts)
 
 
 def _beta(mu: Partition) -> tuple[int, ...]:
@@ -136,10 +126,3 @@ def central_eigenvalue(n: int, rho: CycleType, mu: Partition) -> Fraction:
         raise SizeMismatchError(f"|{format_partition(mu)}| != n={n}")
     return Fraction(class_size(n, rho) * character(mu, rho), hook_dim(mu))
 
-
-def cycle_types_with_support_up_to(m_max: int) -> list[CycleType]:
-    """All cycle types moving at most m_max points, identity included,
-    ordered by (support, cycle type).  A type moving exactly k points is
-    the cycle type of a partition of k with no part equal to 1."""
-    return sorted((cycle_type_of_partition(shape) for shape in partitions_up_to(m_max)
-                   if 1 not in shape), key=lambda r: (support(r), r))

@@ -18,7 +18,7 @@ from time import perf_counter
 
 from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
 from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, binomial_poly
-from .partitions import format_partition, partitions_up_to, validity_start
+from .partitions import cycle_types_with_support_up_to, format_partition, partitions_up_to, validity_start
 
 
 @dataclass
@@ -77,7 +77,7 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
                 report.expect("jm-oracle", where, snoracle.central_eigenvalue(n, (1,), mu), jm(n))
         _certify(report, dim, "integrality-dim", {"lambda": lam})
 
-    cycle_types = snoracle.cycle_types_with_support_up_to(max_m)
+    cycle_types = cycle_types_with_support_up_to(max_m)
     for lam in partitions_up_to(cen_size):
         for rho in cycle_types:
             frob = deligne.frobenius_coefficient(lam, rho)
@@ -93,7 +93,7 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
     for rho in cycle_types:
         _certify(report, deligne.class_size_poly(rho), "integrality-class-size", {"rho": rho})
 
-    stab_types = snoracle.cycle_types_with_support_up_to(min(max_m, 4))
+    stab_types = cycle_types_with_support_up_to(min(max_m, 4))
     for lam in partitions_up_to(min(cen_size, 4)):
         for rho in stab_types:
             same = deligne.frobenius_coefficient(lam, rho) == \
@@ -156,7 +156,10 @@ def stirling_suite(*, max_n: int = 13, max_m: int = 6) -> SuiteReport:
 
 def bounds_suite(*, max_n: int = 18) -> SuiteReport:
     """Appendix inequalities: the dimension lower bound for every partition,
-    the AM-GM step, and the long-row-or-column scan window."""
+    the AM-GM step, and the long-row-or-column scan window.  A max_n below
+    1 would check nothing, so it is a ValueError."""
+    if max_n < 1:
+        raise ValueError(f"suite bounds needs max_n >= 1, got {max_n}")
     report = SuiteReport("bounds")
     for n in range(1, max_n + 1):
         sweep = bounds.bound_sweep(n)

@@ -86,7 +86,7 @@ def test_criterion_04_central_element_oracle():
     with criterion(4, "class-sum eigenvalues and characters match S_n, |lam| <= 4, moved <= 5, n <= 10",
                    budget=2.0):
         for lam in pt.partitions_up_to(4):
-            for rho in sn.cycle_types_with_support_up_to(5):
+            for rho in pt.cycle_types_with_support_up_to(5):
                 omega = dl.central_eigenvalue_poly(rho, lam)
                 frob = dl.frobenius_coefficient(lam, rho)
                 for n in range(_validity_start(lam, rho), 11):
@@ -106,7 +106,7 @@ def test_criterion_06_integer_valuedness_certificates():
     with criterion(6, "integrality certificates for dimensions, class sizes, eigenvalues"):
         for lam in pt.partitions_up_to(6):
             dl.certify_integer_valued(dl.dimension_poly(lam))
-        for rho in sn.cycle_types_with_support_up_to(5):
+        for rho in pt.cycle_types_with_support_up_to(5):
             dl.certify_integer_valued(dl.class_size_poly(rho))
             for lam in pt.partitions_up_to(4):
                 dl.certify_integer_valued(dl.central_eigenvalue_poly(rho, lam))

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,18 +62,6 @@ def test_bound_sweep_counts_every_partition_and_is_tight_at_the_row_through_40()
         assert (report.min_slack, report.argmin) == (0, (n,)), n
 
 
-def test_the_sweeps_never_call_hook_dim(monkeypatch):
-    calls = []
-
-    def counting(mu):
-        calls.append(mu)
-        return sn.hook_dim(mu)
-    monkeypatch.setattr(bd, "hook_dim", counting)
-    bd.lemma_scan(Fraction(1), 1, 30)
-    bd.bound_sweep(30)
-    assert calls == []
-
-
 def test_the_sweeps_check_the_cap_when_called(monkeypatch):
     monkeypatch.delenv("REPST_LIMITS", raising=False)
     n = pt.enumeration_limit() + 1
@@ -121,8 +109,8 @@ def test_amgm_factors_multiply_to_something_below_the_power_bound(mu):
 
 @given(mu=partition_strategy(max_n=12, min_n=1))
 def test_row_peel_identity_is_exact(mu):
-    # hook_dim(mu) * prod(1 + (c_i - 1)/i) == hook_dim(mu minus first row) * binom(n, d)
-    assert bd.peel_identity_holds(mu)
+    # the row-peeling step behind the bound, with d the first row of mu
+    assert sn.hook_dim(mu) * prod(bd.row_peel_factors(mu)) == sn.hook_dim(mu[1:]) * comb(sum(mu), mu[0])
 
 
 @pytest.mark.parametrize("n", [1, 4, 12, 18])

@@ -166,12 +166,13 @@ def test_stirling_command(capsys):
 
 
 def test_stirling_help_carries_order_caveat(capsys):
-    from repst import groupalg
     with pytest.raises(SystemExit) as exc:
         cli.main(["stirling", "--help"])
     assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "zero radius of convergence" in out
+    # argparse wraps the epilog, so compare with the line breaks undone
+    out = " ".join(capsys.readouterr().out.split())
+    for phrase in ("zero radius of convergence", "coefficients only", "t!", "never evaluates"):
+        assert phrase in out, phrase
 
 
 def test_usage_error_exit_code(capsys):
@@ -220,6 +221,14 @@ def test_verify_size_cap_beyond_the_enumeration_limit_fails_fast():
     assert result.stdout == ""
     assert result.stderr == ("error: max_size=50 exceeds the enumeration cap 40; "
                              "raise REPST_LIMITS to allow it\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("suite", ["bounds", "all"])
+def test_verify_rejects_a_bounds_suite_that_checks_nothing(capsys, suite, extra):
+    """A bounds suite with max_n below 1 sweeps no n, like `repst bounds --max-n 0`."""
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "0", *extra)
+    assert (code, out, err) == (2, "", "error: suite bounds needs max_n >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("argv, cap", [
@@ -637,15 +646,30 @@ def test_verify_suite_choices_name_every_suite():
     assert suite.choices == sorted(verify.SUITES) + ["all"]
 
 
+def test_no_command_but_verify_loads_the_oracle():
+    """Every subcommand but verify runs in one process, which then has not
+    imported snoracle: only the checks consult the oracle."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    commands = [[name, *argv, "--json"] for name, argv in sorted(_EVERY_COMMAND.items())
+                if name != "verify"]
+    script = ("import sys\n"
+              "from repst.cli import main\n"
+              f"codes = [main(argv) for argv in {commands!r}]\n"
+              "print(codes, 'repst.snoracle' in sys.modules, file=sys.stderr)\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.stderr == f"{[0] * len(commands)} False\n"
+
+
 def test_a_cold_dim_loads_only_what_it_runs():
-    """`repst dim` needs neither the verify suites, nor schurweyl or bounds,
-    nor the snoracle oracle, nor dataclasses (which pulls in inspect)."""
+    """`repst dim` needs neither the verify suites, nor schurweyl, bounds or
+    groupalg, nor the snoracle oracle, nor dataclasses (which pulls in inspect)."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     script = ("import sys\n"
               "from repst.cli import main\n"
               "code = main(['dim', '--lambda', '2', '--json'])\n"
-              "print(sorted({'repst.verify', 'repst.schurweyl', 'repst.bounds', 'repst.snoracle',"
-              " 'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)\n"
+              "print(sorted({'repst.verify', 'repst.schurweyl', 'repst.bounds', 'repst.groupalg',"
+              " 'repst.snoracle', 'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)\n"
               "sys.exit(code)\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, timeout=20)

@@ -135,7 +135,7 @@ def test_frobenius_coefficient_known_values():
 
 
 def test_frobenius_empty_partition_is_one():
-    for rho in sn.cycle_types_with_support_up_to(5):
+    for rho in pt.cycle_types_with_support_up_to(5):
         assert dl.frobenius_coefficient((), rho) == ExactPolynomial((1,))
 
 
@@ -191,7 +191,7 @@ def test_frobenius_equals_murnaghan_nakayama_at_deg_plus_one_ranks():
     # the identity on every lam of size <= 6 and every class moving <= 6 points
     compared = 0
     for lam in pt.partitions_up_to(6):
-        for rho in sn.cycle_types_with_support_up_to(6):
+        for rho in pt.cycle_types_with_support_up_to(6):
             frob = dl.frobenius_coefficient(lam, rho)
             start = pt.validity_start(lam, rho)
             for n in range(start, start + max(frob.degree, sum(lam)) + 1):
@@ -207,7 +207,7 @@ def test_frobenius_rejects_too_few_variables():
 
 def test_central_eigenvalue_poly_known_values():
     assert dl.central_eigenvalue_poly((1,), (1,)) == (T * (T - 3)).scale(Fraction(1, 2))
-    for rho in sn.cycle_types_with_support_up_to(5):
+    for rho in pt.cycle_types_with_support_up_to(5):
         assert dl.central_eigenvalue_poly(rho, ()) == dl.class_size_poly(rho)
 
 

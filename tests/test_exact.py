@@ -7,7 +7,7 @@ from operator import add, mul
 import pytest
 from hypothesis import given, strategies as st
 
-from repst import bounds as bd, deligne, groupalg, partitions, schurweyl as sw, snoracle
+from repst import bounds as bd, deligne, groupalg, partitions, schurweyl as sw
 from repst.exact import (
     BadConstantTermError,
     BinomialBasisPolynomial,
@@ -39,7 +39,7 @@ def test_polynomial_basic_arithmetic():
     assert T + 1 - 1 == T
     assert (T ** 3)(2) == 8
     assert ExactPolynomial().degree == -1
-    assert (T * 0).is_zero
+    assert T * 0 == 0
 
 
 def test_exact_div_rejects_remainder():
@@ -56,7 +56,7 @@ def test_exact_div_rejects_remainder():
 
 @given(a=polynomials, b=polynomials)
 def test_product_then_exact_div_roundtrips(a, b):
-    if b.is_zero:
+    if b == 0:
         return
     assert (a * b).exact_div(b) == a
 
@@ -242,13 +242,13 @@ def test_kernels_match_fraction_reference(a, b, c, x, n):
 
 @given(a=polynomials, b=polynomials)
 def test_exact_div_roundtrips_in_canonical_form(a, b):
-    if b.is_zero:
+    if b == 0:
         return
     product = a * b
     quotient = product.exact_div(b)
     assert_canonical(quotient)
     assert quotient == a and hash(quotient) == hash(a)
-    if not a.is_zero:
+    if a != 0:
         assert product.exact_div(a) == b
     if b.degree >= 1:
         with pytest.raises(NonDivisibleError):
@@ -338,7 +338,7 @@ def test_kernel_outputs_are_those_of_the_fraction_tuple_representation():
     for lam in partitions.partitions_up_to(10):
         lines.append(f"dim {lam} {deligne.dimension_poly(lam).coeffs!r}")
     for lam in partitions.partitions_up_to(5):
-        for rho in snoracle.cycle_types_with_support_up_to(6):
+        for rho in partitions.cycle_types_with_support_up_to(6):
             lines.append(f"frob {lam} {rho} {deligne.frobenius_coefficient(lam, rho).coeffs!r}")
     for m in range(13):
         lines.append(f"hilbert {m} {groupalg.hilbert_coefficient(m).coeffs!r}")
@@ -429,7 +429,7 @@ def test_sum_and_product_match_brute_force_dicts(data, nvars):
     sa, sb = TruncatedSeries(bounds, a), TruncatedSeries(bounds, b)
     for result, expected in ((sa + sb, expected_sum), (sa * sb, expected_product)):
         assert result.bounds == bounds
-        assert all(not c.is_zero for c in result.terms.values())
+        assert all(c != 0 for c in result.terms.values())
         assert all(in_bounds(e) for e in result.terms)
         assert result.terms == {e: ExactPolynomial((c,)) for e, c in expected.items() if c}
 

@@ -103,13 +103,6 @@ def test_coefficient_table():
     assert table[1] == ga.hilbert_coefficient(1)
 
 
-def test_order_remark_is_documentation_only():
-    text = ga.order_remark()
-    assert "zero radius of convergence" in text
-    assert "coefficients only" in text
-    assert "t!" in text and "never" in text
-
-
 def test_negative_m_rejected():
     with pytest.raises(ValueError):
         ga.hilbert_coefficient(-1)

@@ -1,5 +1,5 @@
-"""The oracle stays independent: checked on the import statements in the
-source, so an import inside a function counts as well.  Invariants are
+"""The oracle stays independent, and only verify consults it: checked on the
+import statements in the source, so an import inside a function counts as well.  Invariants are
 checked with typed exceptions, never with assert, which python -O strips.
 Only the CLI writes JSON.  Every name the benchmark traces or reads a cache
 from still exists."""
@@ -38,6 +38,13 @@ def test_snoracle_imports_no_interpolation_module():
 @pytest.mark.parametrize("module", ["exact", "deligne", "schurweyl", "groupalg"])
 def test_interpolation_modules_import_nothing_from_snoracle(module):
     assert "snoracle" not in _imported_names(module)
+
+
+def test_only_verify_imports_snoracle():
+    """The oracle is a dependency of the checks alone."""
+    importers = [path.stem for path in sorted(SOURCE.glob("*.py"))
+                 if path.stem != "snoracle" and "snoracle" in _imported_names(path.stem)]
+    assert importers == ["verify"]
 
 
 def test_deligne_does_not_import_hook_dim():

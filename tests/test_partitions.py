@@ -131,9 +131,8 @@ def test_pad_fails_exactly_below_the_validity_start():
 
 
 def test_validity_start_leaves_room_for_the_cycles():
-    from repst.snoracle import cycle_types_with_support_up_to
     for lam in pt.partitions_up_to(6):
-        for rho in cycle_types_with_support_up_to(6):
+        for rho in pt.cycle_types_with_support_up_to(6):
             start = pt.validity_start(lam, rho)
             assert start >= pt.support(rho) and start >= pt.validity_start(lam)
 

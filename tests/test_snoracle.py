@@ -96,7 +96,7 @@ def test_character_tables(table):
 def test_n_cycle_characters_follow_the_hook_rule(n):
     # one strip of length n removes the whole diagram, crossing every
     # beta-number: (-1)^k on the hook (n-k, 1^k), 0 off the hooks
-    n_cycle = sn.cycle_type_of_partition((n,))
+    n_cycle = pt.cycle_type_of_partition((n,))
     for mu in pt.partitions_of(n):
         k = len(mu) - 1
         expected = (-1) ** k if mu[1:] == (1,) * k else 0
@@ -107,14 +107,14 @@ def test_n_cycle_characters_follow_the_hook_rule(n):
 def test_standard_representation_character(mu):
     # on (n-1,1), the character is (number of fixed points) - 1
     n = sum(mu)
-    rho = sn.cycle_type_of_partition(mu)
+    rho = pt.cycle_type_of_partition(mu)
     assert sn.character((n - 1, 1), rho) == (n - sn.support(rho)) - 1
 
 
 @given(mu=partition_strategy(max_n=9, min_n=1))
 def test_sign_representation_character(mu):
     n = sum(mu)
-    rho = sn.cycle_type_of_partition(mu)
+    rho = pt.cycle_type_of_partition(mu)
     parity = sum((i + 1) * c for i, c in enumerate(rho))
     assert sn.character((1,) * n, rho) == (-1) ** parity
 
@@ -166,14 +166,14 @@ def test_class_size_known_values():
 
 @given(n=st.integers(1, 10))
 def test_class_sizes_sum_to_factorial(n):
-    total = sum(sn.class_size(n, sn.cycle_type_of_partition(shape))
+    total = sum(sn.class_size(n, pt.cycle_type_of_partition(shape))
                 for shape in pt.partitions_of(n))
     assert total == factorial(n)
 
 
 @given(n=st.integers(1, 8))
 def test_column_orthogonality(n):
-    types = [sn.cycle_type_of_partition(shape) for shape in pt.partitions_of(n)]
+    types = [pt.cycle_type_of_partition(shape) for shape in pt.partitions_of(n)]
     mus = pt.partitions_of(n)
     for mu in mus:
         for nu in mus:
@@ -193,8 +193,8 @@ def test_central_eigenvalue_known_values():
 
 
 def test_cycle_types_with_support_up_to():
-    assert sn.cycle_types_with_support_up_to(0) == [()]
-    assert set(sn.cycle_types_with_support_up_to(5)) == {
+    assert pt.cycle_types_with_support_up_to(0) == [()]
+    assert set(pt.cycle_types_with_support_up_to(5)) == {
         (), (1,), (0, 1), (2,), (0, 0, 1), (1, 1), (0, 0, 0, 1)}
 
 
@@ -203,13 +203,13 @@ def test_cycle_types_with_support_up_to_are_the_partitions_without_fixed_points(
     # types moving exactly k points <-> partitions of k with no part 1,
     # counted by p(k) - p(k - 1)
     p = [len(pt.partitions_of(k)) for k in range(m + 1)]
-    types = sn.cycle_types_with_support_up_to(m)
+    types = pt.cycle_types_with_support_up_to(m)
     assert len(types) == sum(p[k] - (p[k - 1] if k else 0) for k in range(m + 1))
     assert len(set(types)) == len(types)
     assert types == sorted(types, key=lambda r: (pt.support(r), r))
 
 
 def test_cycle_types_with_support_up_to_six_is_pinned():
-    assert sn.cycle_types_with_support_up_to(6) == [
+    assert pt.cycle_types_with_support_up_to(6) == [
         (), (1,), (0, 1), (0, 0, 1), (2,), (0, 0, 0, 1), (1, 1),
         (0, 0, 0, 0, 1), (0, 2), (1, 0, 1), (3,)]
