@@ -103,6 +103,16 @@ def test_coefficient_table():
     assert table[1] == ga.hilbert_coefficient(1)
 
 
+def test_order_remark_is_documentation_only():
+    """The caveat on the order of the Hilbert series is text for the
+    `stirling` help; it lives in the CLI, and groupalg carries no copy."""
+    from repst.cli import ORDER_CAVEAT
+    assert "zero radius of convergence" in ORDER_CAVEAT
+    assert "coefficients only" in ORDER_CAVEAT
+    assert "t!" in ORDER_CAVEAT and "never" in ORDER_CAVEAT
+    assert not hasattr(ga, "order_remark")
+
+
 def test_negative_m_rejected():
     with pytest.raises(ValueError):
         ga.hilbert_coefficient(-1)
