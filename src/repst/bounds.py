@@ -68,8 +68,7 @@ def amgm_check(mu: Partition) -> bool:
 
 def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:
     """(mu, hook product of mu) for every mu of n with mu_1 >= len(mu), each
-    once, in no fixed order, depth first.  The cap is checked at the first
-    next(), before any work.
+    once, in no fixed order, depth first; its callers hold n to the size rule.
 
     The rows are chosen bottom-up, each at least as long as the row below.
     The k-th row from the bottom (0-based) has beta-number row + k whatever
@@ -79,7 +78,6 @@ def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:
     b! / prod_j (b - b_j) over the lower beta-numbers b_j.  A branch is
     dropped once no diagram above it can have a top row as long as its
     first column."""
-    check_size_cap("n", n)
     # beta-numbers stay below 2n, since len(mu) <= mu_1 <= n
     factorials = list(accumulate(range(1, 2 * n + 1), mul, initial=1))
     # (rows chosen, top first; their beta-numbers, bottom first; least next
@@ -130,8 +128,7 @@ def bound_sweep(n: int) -> BoundSweepReport:
     (n) has dimension 1 and bound binom(n, n) = 1, and comes first in that
     order, so a passing sweep always reports slack 0 at (n): what it shows
     is that no d-class goes below its bound."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_size_cap("n", n, 1)
     widest: dict[int, tuple[int, Partition]] = {}  # d -> (hook product, mu)
     count = 0
     for mu, hooks in _wide_hook_products(n):
@@ -160,10 +157,9 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     are tested, and a hit with mu_1 > len(mu) brings its conjugate along.
     hook_dim(mu) = n! / H(mu) for the hook product H(mu) of the walk, so the
     budget is tested as n! <= threshold * H(mu), in integers, and hook_dim
-    is never called.  k is held to the enumeration cap before n^k is formed.
+    is never called.  n and k are held to the size rule before n^k is formed.
     """
-    if n < 1:
-        raise SizeMismatchError(f"lemma_scan needs n >= 1, got {n}")
+    check_size_cap("n", n, 1)
     check_size_cap("k", k)
     # hook_dim is an integer, so comparing it with the floor is exact
     threshold = floor(Fraction(*_ratio(c)) * Fraction(n) ** k)
@@ -181,12 +177,11 @@ def find_threshold(c: Fraction, k: int, n_max: int) -> tuple[int | None, list[Pa
     """Smallest N such that lemma_scan(c, k, n) is empty for every
     N <= n <= n_max, or None if even n_max has violations, together with
     lemma_scan(c, k, N - 1): the last counterexamples, empty when N is 1 or
-    None.  c, then n_max >= 1, are checked before any scan, and each n is
-    one walk of _wide_hook_products, which calls hook_dim for no partition
-    and caches none."""
+    None.  c, then n_max (by check_size_cap), are checked before any scan,
+    and each n is one walk of _wide_hook_products, which calls hook_dim for
+    no partition and caches none."""
     c = Fraction(*_ratio(c))
-    if n_max < 1:
-        raise SizeMismatchError(f"find_threshold needs n_max >= 1, got {n_max}")
+    check_size_cap("n_max", n_max, 1)
     threshold = None
     for n in range(n_max, 0, -1):
         found = lemma_scan(c, k, n)

@@ -95,6 +95,13 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from err
 
 
+def _positive_rational(text: str) -> Fraction:
+    # a budget C * n^k with C <= 0 admits no irreducible, so its threshold says nothing
+    if (c := _parse_rational(text)) > 0:
+        return c
+    raise argparse.ArgumentTypeError(f"not a positive rational number: {text!r}")
+
+
 def _poly_output(args, poly, label: str, extra: dict) -> Output:
     binom = to_binomial_basis(poly)
     payload = {**extra, label: poly_to_json(poly), f"{label}_binomial": poly_to_json(binom)}
@@ -308,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
             "smallest n from which every irreducible of dimension <= C n^k has a "
             "first row or column of length >= n - k")
     p.add_argument("--n-max", type=int, default=20, help="largest n to scan")
-    p.add_argument("--c", type=_parse_rational, nargs="+", default=[Fraction(1), Fraction(2), Fraction(10)],
-                   help="rational budget constants C")
+    p.add_argument("--c", type=_positive_rational, nargs="+", default=[Fraction(1), Fraction(2), Fraction(10)],
+                   help="positive rational budget constants C")
     p.add_argument("--k", type=int, nargs="+", default=[0, 1, 2, 3], help="budget exponents k")
 
     p = add("tables", cmd_tables, "dimension, Jucys-Murphy eigenvalue and class-size tables")

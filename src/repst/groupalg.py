@@ -46,8 +46,7 @@ def elementary_symmetric_table(m_max: int, values: list[int]) -> list[list[int]]
 def hilbert_coefficient(m: int) -> ExactPolynomial:
     """x^m-coefficient of the formal-rank Hilbert series: the unique
     polynomial of degree <= 2m through e_m(1, ..., n-1) at n = 0..2m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    check_size_cap("m", m)
     table = elementary_symmetric_table(m, list(range(1, 2 * m + 1)))
     # rank n contributes e_m over {1, ..., n-1}, i.e. the first n-1 values
     return lagrange_interpolate([table[max(n - 1, 0)][m] for n in range(2 * m + 1)])
@@ -87,8 +86,7 @@ def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
     h = exp(log h) one coefficient at a time by Miller's recurrence,
     m h_m = sum_{j=1}^{m} j (log h)_j h_{m-j}, with no full series product.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    check_size_cap("m", m)
     log_terms = {}
     for k in range(1, m + 1):
         poly = bernoulli_poly(k + 1) - bernoulli_number(k + 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import chain
 from operator import index
 from typing import Iterator
 
@@ -36,7 +37,7 @@ class LimitExceededError(ValueError):
 
 class SizeMismatchError(ValueError):
     """A size does not fit its data: fewer points than the cycles move, a
-    partition of another size, or a size below 1 where one is needed."""
+    partition of another size, or a size below its floor (check_size_cap)."""
 
 
 class BadLimitError(ValueError):
@@ -66,11 +67,12 @@ def enumeration_limit() -> int:
     return limit
 
 
-def check_size_cap(name: str, value: int) -> None:
-    """Reject a size, or a caller's cap on sizes, that is negative or above
-    enumeration_limit(); callers check their caps before any work."""
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+def check_size_cap(name: str, value: int, least: int = 0) -> None:
+    """The one size rule, checked before any work: a size or a cap on sizes
+    below least is a SizeMismatchError, above enumeration_limit() a LimitExceededError."""
+    if value < least:
+        floor = "nonnegative" if least == 0 else f">= {least}"
+        raise SizeMismatchError(f"{name} must be {floor}, got {value}")
     if value > enumeration_limit():
         raise LimitExceededError(
             f"{name}={value} exceeds the enumeration cap {enumeration_limit()}; "
@@ -265,6 +267,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
-    """All partitions of every size 0..n."""
-    for k in range(n + 1):
-        yield from partitions_of(k)
+    """All partitions of every size 0..n; n is checked before any is made."""
+    check_size_cap("n", n)
+    return chain.from_iterable(map(_partitions_of, range(n + 1)))

@@ -78,8 +78,6 @@ class GradedCheckReport:
     """Outcome of comparing the two Hilbert-series routes for the associated
     graded of a tensor power, degree by degree."""
 
-    bar_dim: int
-    degree: int
     first_failure: int | None
 
     @property
@@ -110,7 +108,7 @@ def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
     rhs = sym * TruncatedSeries((degree,), layers)
     first_failure = next((k for k in range(degree + 1)
                           if lhs.coefficient((k,)) != rhs.coefficient((k,))), None)
-    return GradedCheckReport(d, degree, first_failure)
+    return GradedCheckReport(first_failure)
 
 
 def degree_one_dimension(v: int) -> ExactPolynomial:

@@ -20,6 +20,8 @@ from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
 from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, binomial_poly
 from .partitions import cycle_types_with_support_up_to, format_partition, partitions_up_to, validity_start
 
+_BOUNDS_LEAST_MAX_N = 1  # bounds_suite sweeps n = 1..max_n, so below this it checks nothing
+
 
 @dataclass
 class Failure:
@@ -137,16 +139,16 @@ def stirling_suite(*, max_n: int = 13, max_m: int = 6) -> SuiteReport:
     """Filtered group-algebra Hilbert coefficients: interpolation route
     against elementary symmetric values beyond the nodes, agreement of the
     Gamma-ratio route, factorial row sums, integrality."""
+    partitions.check_size_cap("max_m", max_m)  # hilbert_coefficient holds each m to the cap
     report = SuiteReport("stirling")
+    table = groupalg.elementary_symmetric_table(max_m, list(range(1, max_n)))
     for m in range(max_m + 1):
         poly = groupalg.hilbert_coefficient(m)
-        table = groupalg.elementary_symmetric_table(m, list(range(1, max_n)))
         for n in range(2 * m + 1, max_n + 1):
             report.expect("stirling-values", {"m": m, "n": n}, table[n - 1][m], poly(n))
         gamma = groupalg.hilbert_coefficient_gamma(m)
-        same = gamma == poly
-        report.record(same, "gamma-route", {"m": m},
-                      "" if same else f"interpolation gave {poly}, Gamma expansion gave {gamma}")
+        report.record(gamma == poly, "gamma-route", {"m": m},
+                      lambda: f"interpolation gave {poly}, Gamma expansion gave {gamma}")
         _certify(report, poly, "integrality-stirling", {"m": m})
     for n in range(min(9, max_n) + 1):
         total = sum(groupalg.hilbert_coefficient(m)(n) for m in range(max(n, 1)))
@@ -156,10 +158,8 @@ def stirling_suite(*, max_n: int = 13, max_m: int = 6) -> SuiteReport:
 
 def bounds_suite(*, max_n: int = 18) -> SuiteReport:
     """Appendix inequalities: the dimension lower bound for every partition,
-    the AM-GM step, and the long-row-or-column scan window.  A max_n below
-    1 would check nothing, so it is a ValueError."""
-    if max_n < 1:
-        raise ValueError(f"suite bounds needs max_n >= 1, got {max_n}")
+    the AM-GM step, and the long-row-or-column scan window."""
+    partitions.check_size_cap("max_n", max_n, _BOUNDS_LEAST_MAX_N)
     report = SuiteReport("bounds")
     for n in range(1, max_n + 1):
         sweep = bounds.bound_sweep(n)
@@ -220,7 +220,7 @@ def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
     (max_size, max_n, max_m, degree), timing each suite.  A suite gets the
     given overrides that its keyword-only parameters name, and its own
     defaults for the rest.  Before any suite runs, an override no chosen
-    suite reads is a ValueError; the rest meet the enumeration cap."""
+    suite reads is a ValueError, and the rest meet the size rule."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     suites = list(SUITES.values()) if name == "all" else [SUITES[name]]
@@ -228,7 +228,8 @@ def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
     for key, value in given.items():
         if not any(key in suite.__kwdefaults__ for suite in suites):
             raise ValueError(f"{key} does not apply to suite {name}")
-        partitions.check_size_cap(key, value)
+        least = _BOUNDS_LEAST_MAX_N if key == "max_n" and name in ("bounds", "all") else 0
+        partitions.check_size_cap(key, value, least)
     reports = []
     for suite in suites:
         start = perf_counter()

@@ -233,5 +233,5 @@ def test_find_threshold_rejects_a_float_budget_before_any_scan(n_max):
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_find_threshold_needs_a_positive_n_max(n_max):
     # no n is scanned, so None would wrongly say n_max has counterexamples
-    with pytest.raises(sn.SizeMismatchError, match=rf"^find_threshold needs n_max >= 1, got {n_max}$"):
+    with pytest.raises(sn.SizeMismatchError, match=rf"^n_max must be >= 1, got {n_max}$"):
         bd.find_threshold(Fraction(1), 1, n_max)

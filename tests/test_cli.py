@@ -228,7 +228,7 @@ def test_verify_size_cap_beyond_the_enumeration_limit_fails_fast():
 def test_verify_rejects_a_bounds_suite_that_checks_nothing(capsys, suite, extra):
     """A bounds suite with max_n below 1 sweeps no n, like `repst bounds --max-n 0`."""
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "0", *extra)
-    assert (code, out, err) == (2, "", "error: suite bounds needs max_n >= 1, got 0\n")
+    assert (code, out, err) == (2, "", "error: max_n must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("argv, cap", [
@@ -298,6 +298,24 @@ def test_verify_suite_passes(capsys):
     assert "oracle" in out and "pass" in out
 
 
+def test_verify_checks_the_bounds_floor_before_any_suite_starts(capsys, monkeypatch):
+    """`--suite all --max-n 0` ran the oracle, pieri and stirling suites
+    before the bounds suite refused its max_n."""
+    started = []
+
+    def recording(suite):
+        def run(**limits):
+            started.append(suite.__name__)
+            return suite(**limits)
+        run.__kwdefaults__ = suite.__kwdefaults__  # run_suites reads the overrides a suite takes here
+        return run
+
+    for name, suite in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, recording(suite))
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-n", "0")
+    assert (code, out, err, started) == (2, "", "error: max_n must be >= 1, got 0\n", [])
+
+
 @pytest.mark.parametrize("flag, key", [
     ("--max-size", "max_size"), ("--max-n", "max_n"), ("--max-m", "max_m"), ("--deg", "degree"),
 ])
@@ -305,7 +323,9 @@ def test_verify_negative_cap_exits_2(capsys, flag, key):
     code, out, err = run_cli(capsys, "verify", "--suite", "all", flag, "-5")
     assert code == 2
     assert out == ""
-    assert err == f"error: {key} must be nonnegative, got -5\n"
+    # the bounds suite, chosen by "all", sweeps n from 1
+    floor = ">= 1" if key == "max_n" else "nonnegative"
+    assert err == f"error: {key} must be {floor}, got -5\n"
 
 
 # every verify cap flag, and the suites that read it
@@ -605,7 +625,21 @@ def test_thresholds_rejects_a_repeated_budget_before_any_scan(capsys, monkeypatc
 def test_thresholds_rejects_an_n_max_below_1_with_exit_2(capsys, extra):
     """An --n-max below 1 scans no n, so there is no threshold to report."""
     code, out, err = run_cli(capsys, "thresholds", "--n-max", "0", "--c", "1", "--k", "1", *extra)
-    assert (code, out, err) == (2, "", "error: find_threshold needs n_max >= 1, got 0\n")
+    assert (code, out, err) == (2, "", "error: n_max must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("c", ["0", "-3"])
+def test_thresholds_rejects_a_budget_constant_that_is_not_positive(capsys, monkeypatch, c, extra):
+    """A budget C * n^k with C <= 0 admits no irreducible, so the threshold 1
+    it used to report said nothing; argparse refuses it before any scan."""
+    calls = []
+    monkeypatch.setattr(bounds, "find_threshold", lambda c, k, n_max: calls.append((c, k, n_max)) or (1, []))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["thresholds", "--n-max", "5", "--c", c, "--k", "1", *extra])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, calls) == (2, "", [])
+    assert captured.err.endswith(f"error: argument --c: not a positive rational number: '{c}'\n")
 
 
 # small arguments for every subcommand, so that each handler runs its own imports

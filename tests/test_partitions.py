@@ -1,9 +1,10 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repst import partitions as pt
+from repst import bounds as bd, groupalg as ga, partitions as pt, verify
 from conftest import partition_strategy
 
 
@@ -235,6 +236,40 @@ def test_parsed_sizes_are_held_to_the_enumeration_cap(monkeypatch):
     monkeypatch.setenv("REPST_LIMITS", "42")
     assert pt.parse_partition("21,20") == (21, 20)
     assert pt.parse_cycle_type("0,14") == (0, 14)
+
+
+# every entry point the enumeration cap governs: a call with the size, the
+# size's name and floor, and the module and name of the function doing the work
+_GOVERNED = {
+    "bound_sweep": (bd.bound_sweep, "n", 1, bd, "_wide_hook_products"),
+    "lemma_scan": (lambda n: bd.lemma_scan(Fraction(1), 1, n), "n", 1, bd, "_wide_hook_products"),
+    "find_threshold": (lambda n: bd.find_threshold(Fraction(1), 1, n), "n_max", 1, bd, "lemma_scan"),
+    "bounds_suite": (lambda n: verify.bounds_suite(max_n=n), "max_n", 1, bd, "bound_sweep"),
+    "stirling_suite": (lambda m: verify.stirling_suite(max_m=m), "max_m", 0, ga, "elementary_symmetric_table"),
+    "hilbert_coefficient": (ga.hilbert_coefficient, "m", 0, ga, "elementary_symmetric_table"),
+    "hilbert_coefficient_gamma": (ga.hilbert_coefficient_gamma, "m", 0, ga, "bernoulli_poly"),
+    "partitions_up_to": (pt.partitions_up_to, "n", 0, pt, "_partitions_of"),
+}
+
+
+@pytest.mark.parametrize("side", ["below-floor", "above-cap"])
+@pytest.mark.parametrize("entry", sorted(_GOVERNED))
+def test_every_governed_size_is_checked_by_the_one_rule_before_any_work(monkeypatch, entry, side):
+    call, name, least, module, worker = _GOVERNED[entry]
+
+    def work(*args, **kwargs):
+        raise AssertionError(f"{entry} started work before checking {name}")
+
+    monkeypatch.setattr(module, worker, work)
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    if side == "below-floor":
+        floor = "nonnegative" if least == 0 else f">= {least}"
+        with pytest.raises(pt.SizeMismatchError, match=rf"^{name} must be {floor}, got {least - 1}$"):
+            call(least - 1)
+    else:
+        cap = pt.enumeration_limit()
+        with pytest.raises(pt.LimitExceededError, match=rf"^{name}={cap + 1} exceeds the enumeration cap"):
+            call(cap + 1)
 
 
 @given(lam=partition_strategy(max_n=12))
