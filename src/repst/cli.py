@@ -32,7 +32,7 @@ from . import deligne
 from .exact import (BinomialBasisPolynomial, ExactPolynomial, NonDivisibleError, OutOfBoundsError, Scalar,
                     to_binomial_basis)
 from .partitions import (InvariantError, _counts, check_size_cap, cycle_types_with_support_up_to,
-                         format_cycle_type, format_partition, parse_cycle_type, parse_partition,
+                         format_partition, parse_cycle_type, parse_partition,
                          partitions_up_to)
 
 CHECK_FAILED = 1
@@ -139,12 +139,12 @@ def cmd_omega_m(args) -> Output:
     lam = parse_partition(args.lam)
     rho = parse_cycle_type(args.rho)
     return _poly_output(args, deligne.central_eigenvalue_poly(rho, lam), "eigenvalue",
-                      {"lambda": format_partition(lam), "rho": format_cycle_type(rho)})
+                      {"lambda": format_partition(lam), "rho": format_partition(rho)})
 
 
 def cmd_class_size(args) -> Output:
     rho = parse_cycle_type(args.rho)
-    return _poly_output(args, deligne.class_size_poly(rho), "class_size", {"rho": format_cycle_type(rho)})
+    return _poly_output(args, deligne.class_size_poly(rho), "class_size", {"rho": format_partition(rho)})
 
 
 def cmd_hilbert(args) -> Output:
@@ -198,7 +198,7 @@ def cmd_bounds(args) -> Output:
 
 def cmd_thresholds(args) -> Output:
     from . import bounds
-    check_size_cap("n_max", args.n_max)
+    check_size_cap("n_max", args.n_max, 1)
     for k in args.k:
         check_size_cap("k", k)
     for flag, values in (("--c", args.c), ("--k", args.k)):
@@ -230,7 +230,7 @@ def cmd_tables(args) -> Output:
     tables = {
         "dimensions": {format_partition(lam): deligne.dimension_poly(lam) for lam in lams},
         "jm_eigenvalues": {format_partition(lam): deligne.jm_eigenvalue(lam) for lam in lams},
-        "class_sizes": {format_cycle_type(rho): deligne.class_size_poly(rho)
+        "class_sizes": {format_partition(rho): deligne.class_size_poly(rho)
                         for rho in cycle_types_with_support_up_to(args.max_m)},
     }
     return ({name: {key: poly_to_json(p) for key, p in table.items()} for name, table in tables.items()},

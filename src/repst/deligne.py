@@ -21,7 +21,6 @@ from .exact import (
     BinomialBasisPolynomial,
     ExactPolynomial,
     NotIntegerValuedError,
-    ONE,
     T,
     TruncatedSeries,
     binomial_poly,
@@ -80,10 +79,12 @@ def _one_plus_power_sum(bounds: tuple[int, ...], r: int) -> TruncatedSeries:
     return TruncatedSeries(bounds, {(r,) * i + (0,) * (n - i): 1 for i in range(n + 1)})
 
 
-def _alternant(bounds: tuple[int, ...]) -> TruncatedSeries:
+def _alternant(bounds: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """prod_i (1 - x_i) prod_{i>j} (1 - x_i / x_j) in len(bounds) variables,
     as the alternant sum_sigma sgn(sigma) prod_k x_k^{k - sigma(k)} over the
-    permutations sigma of 0..len(bounds), with x_0 = 1 (Macdonald, I.3).
+    permutations sigma of 0..len(bounds), with x_0 = 1 (Macdonald, I.3): the
+    terms that fit the bounds, as u-exponent -> +-1, where the integer block
+    of frobenius_coefficient starts.
 
     After x_i = u_1 ... u_i the exponent of u_k is the suffix sum
     a_k = sum_{i>=k} (i - sigma(i)) >= 0.  A depth-first search assigns
@@ -91,13 +92,12 @@ def _alternant(bounds: tuple[int, ...]) -> TruncatedSeries:
     branch as soon as a_k > bounds[k-1].  Taking the value at position pos of
     the i + 1 free values leaves i - pos larger ones for the positions below
     i, so it flips the sign by (-1)^(i - pos)."""
-    terms: dict[tuple[int, ...], ExactPolynomial] = {}
+    terms: dict[tuple[int, ...], int] = {}
     exponent = [0] * len(bounds)
-    coefficient = {1: ONE, -1: -ONE}
 
     def assign(i: int, free: list[int], suffix: int, sign: int):
         if i == 0:
-            terms[tuple(exponent)] = coefficient[sign]
+            terms[tuple(exponent)] = sign
             return
         for pos, value in enumerate(free):
             a = suffix + i - value
@@ -107,7 +107,24 @@ def _alternant(bounds: tuple[int, ...]) -> TruncatedSeries:
                        -sign if (i - pos) % 2 else sign)
 
     assign(len(bounds), list(range(len(bounds) + 1)), 0, 1)
-    return TruncatedSeries(bounds, terms)
+    return terms
+
+
+def _times_one_plus_power_sum(terms: dict[tuple[int, ...], int],
+                              bounds: tuple[int, ...], r: int) -> dict[tuple[int, ...], int]:
+    """terms * (1 + p_r), truncated to bounds, in integers, without the terms
+    that cancel.  The term x_j^r adds r to u_1 ... u_j, so once u_j would
+    pass its bound every larger j would too, and the walk over j stops there."""
+    out = dict(terms)
+    for exponent, c in terms.items():
+        shifted = list(exponent)
+        for j, bound in enumerate(bounds):
+            shifted[j] += r
+            if shifted[j] > bound:
+                break
+            key = tuple(shifted)
+            out[key] = out.get(key, 0) + c
+    return {exponent: c for exponent, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -115,10 +132,11 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
                           variables: int | None = None) -> ExactPolynomial:
     """Coefficient of x^lam = prod x_i^{lam_i} in
 
-        (1 + p_1)^(t-m) * prod_i (1 + p_{i+1})^{m_i}
+        (1 + p_1)^(t-m) * prod_i (1 + p_{i+2})^{rho_i}
                         * prod_i (1 - x_i) * prod_{i>j} (1 - x_i / x_j)
 
-    worked in `variables` >= len(lam) variables (default: exactly len(lam)).
+    worked in `variables` >= len(lam) variables (default: exactly len(lam)),
+    with m the number of points rho moves (Macdonald, I.3 and I.7).
 
     The substitution x_i = u_1 ... u_i turns every factor into a genuine
     power series: x_i / x_j = u_{j+1} ... u_i for i > j, and p_r loses its
@@ -126,11 +144,12 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
     is legitimate.  The target monomial has u_k-exponent sum_{i>=k} lam_i,
     which is also the tightest truncation bound.
 
-    Only the power block (the first two factors) is series arithmetic.  The
-    alternating block is the alternant sum_sigma sgn(sigma) prod x_k^{k-sigma(k)},
-    whose +-1 terms _alternant lists by a depth-first search over sigma: the
-    sign flips by (-1)^(i - pos) per step, and a branch stops as soon as a
-    u-exponent passes its bound.  One convolve_coefficient joins the two.
+    Only the first factor depends on t.  It is the polynomial block, series
+    arithmetic with a polynomial in t for every coefficient (pow_poly).
+    Every other factor has integer coefficients and stays in plain ints, the
+    integer block: _alternant lists the alternating factors' +-1 terms, and
+    _times_one_plus_power_sum multiplies each cycle factor into them.  One
+    convolve_coefficient joins the two blocks.
 
     At t = n the result is the character of the padded partition at the
     class rho, which is how the verification suites check it.
@@ -145,14 +164,12 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
         raise ValueError(f"need at least {ell} variables for {lam}")
     bounds = tuple(sum(lam[i] for i in range(k - 1, ell)) for k in range(1, variables + 1))
 
-    # "power block": all of its monomials are sums of prefix intervals, so
-    # its support stays on weakly decreasing exponents and small
-    power_block = _one_plus_power_sum(bounds, 1).pow_poly(T - m)
+    integral = _alternant(bounds)
     for i, count in enumerate(rho):
-        if count:
-            power_block = power_block * _one_plus_power_sum(bounds, i + 2) ** count
-
-    return convolve_coefficient(power_block, _alternant(bounds), bounds)
+        for _ in range(count):
+            integral = _times_one_plus_power_sum(integral, bounds, i + 2)
+    power_block = _one_plus_power_sum(bounds, 1).pow_poly(T - m)
+    return convolve_coefficient(power_block, TruncatedSeries(bounds, integral), bounds)
 
 
 def central_eigenvalue_poly(rho: CycleType, lam: Partition) -> ExactPolynomial:

@@ -104,6 +104,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(lam: Partition) -> str:
+    """The parts comma-separated; a cycle type is written the same way."""
     return ",".join(str(p) for p in lam)
 
 
@@ -122,10 +123,6 @@ def parse_cycle_type(text: str) -> CycleType:
     rho = check_cycle_type(_counts(text))
     check_size_cap("support(rho)", support(rho))
     return rho
-
-
-# a cycle type is written like a partition: its parts comma-separated
-format_cycle_type = format_partition
 
 
 def support(rho: CycleType) -> int:

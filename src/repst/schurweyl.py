@@ -16,7 +16,7 @@ from itertools import product
 from math import comb
 
 from . import deligne
-from .exact import BadConstantTermError, ExactPolynomial, Scalar, T, TruncatedSeries, _ratio
+from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries
 from .partitions import (InvariantError, Partition, cells, check_size_cap, format_partition,
                          hook_product, partitions_of)
 
@@ -161,16 +161,6 @@ def verma_candidates(weight: VermaWeight, t_max: int) -> list[tuple[int, int, in
 
 def candidate_t_values(weight: VermaWeight, t_max: int) -> set[int]:
     return {t for t, _, _ in verma_candidates(weight, t_max)}
-
-
-def irreducible_guaranteed(t: Scalar, weight: VermaWeight) -> bool:
-    """True when the highest-weight module at this t is certainly
-    irreducible: t not a nonnegative integer, or a nonnegative integer
-    outside every row window of the candidate list.  False only means "not excluded"."""
-    p, q = _ratio(t)
-    if q != 1 or p < 0:
-        return True
-    return not any(lo <= p <= hi for _, lo, hi in _row_windows(weight, p))
 
 
 def interlacing_branch(lam: Partition, space_dim: int, size_bound: int) -> list[Partition]:

@@ -60,8 +60,12 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
 
     With no overrides, each comparison runs over its full documented range
     (dimensions to size 6 / n = 20, central elements to size 4 / moved
-    points 5 / n = 10).  Explicit limits apply to every sub-check.
+    points 5 / n = 10).  Explicit limits apply to every sub-check, and each
+    meets the size rule before any check runs.
     """
+    for name, value in (("max_size", max_size), ("max_n", max_n), ("max_m", max_m)):
+        if value is not None:
+            partitions.check_size_cap(name, value)
     report = SuiteReport("oracle")
     dim_size = max_size if max_size is not None else 6
     dim_n = max_n if max_n is not None else 20

@@ -10,7 +10,7 @@ import pytest
 
 from repst import bounds, cli, deligne, partitions, schurweyl, snoracle, verify
 from repst.exact import ExactPolynomial, NonDivisibleError, OutOfBoundsError, T
-from repst.partitions import format_cycle_type, format_partition, parse_partition, partitions_up_to
+from repst.partitions import format_partition, parse_partition, partitions_up_to
 from conftest import poly_from_json
 
 
@@ -430,7 +430,6 @@ def test_passing_oracle_stirling_and_graded_suites_format_nothing(monkeypatch):
         return wrapped
     for module in (verify, bounds, partitions, schurweyl, snoracle):
         monkeypatch.setattr(module, "format_partition", counting(format_partition))
-    monkeypatch.setattr(partitions, "format_cycle_type", counting(format_cycle_type))
     assert verify.oracle_suite().passed
     assert verify.stirling_suite().passed
     assert verify.graded_suite().passed
@@ -572,7 +571,7 @@ def test_thresholds_shows_four_counterexamples_and_the_total(capsys, monkeypatch
     (["tables", "--max-size", "3", "--max-m", "-1"], "max_m must be nonnegative, got -1"),
     (["tables", "--max-size", "41"],
      "max_size=41 exceeds the enumeration cap 40; raise REPST_LIMITS to allow it"),
-    (["thresholds", "--n-max", "-3", "--c", "1", "--k", "1"], "n_max must be nonnegative, got -3"),
+    (["thresholds", "--n-max", "-3", "--c", "1", "--k", "1"], "n_max must be >= 1, got -3"),
 ])
 def test_tables_and_thresholds_reject_a_bad_cap_with_exit_2(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("REPST_LIMITS", raising=False)

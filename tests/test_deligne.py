@@ -2,7 +2,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import factorial
-from operator import mul
+from operator import le, mul
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,20 +170,38 @@ def test_alternant_equals_product_of_interval_factors():
         ell = len(lam)
         for variables in (ell, ell + 1, ell + 2):
             bounds = tuple(sum(lam[k - 1:]) for k in range(1, variables + 1))
-            assert dl._alternant(bounds) == _interval_product(bounds), (lam, variables)
+            assert TruncatedSeries(bounds, dl._alternant(bounds)) == _interval_product(bounds), \
+                (lam, variables)
 
 
 @pytest.mark.parametrize("ell", range(1, 6))
 def test_untruncated_alternant_is_signed_sum_over_permutations(ell):
-    terms = dl._alternant((100,) * ell).terms
+    terms = dl._alternant((100,) * ell)
     assert len(terms) == factorial(ell + 1)
-    assert {c.coeffs for c in terms.values()} == {(1,), (-1,)}
-    assert sum(c.coeffs[0] for c in terms.values()) == 0
+    assert set(terms.values()) == {1, -1}
+    assert sum(terms.values()) == 0
     # term by term: u_k carries sum_{i>=k} (i - sigma(i)), sign by inversions
     for sigma in permutations(range(ell + 1)):
         exponent = tuple(sum(i - sigma[i] for i in range(k, ell + 1)) for k in range(1, ell + 1))
         inversions = sum(sigma[j] > sigma[i] for i in range(ell + 1) for j in range(i))
-        assert terms[exponent].coeffs == ((-1) ** inversions,)
+        assert terms[exponent] == (-1) ** inversions
+
+
+def test_integer_cycle_factor_equals_the_series_product():
+    # from the alternant, one and then two factors 1 + p_r, as a class with
+    # one or two r-cycles multiplies them in
+    for lam in pt.partitions_up_to(7):
+        ell = len(lam)
+        for variables in (ell, ell + 1):
+            bounds = tuple(sum(lam[k - 1:]) for k in range(1, variables + 1))
+            for r in range(2, 5):
+                terms = dl._alternant(bounds)
+                for _ in range(2):
+                    expected = TruncatedSeries(bounds, terms) * dl._one_plus_power_sum(bounds, r)
+                    terms = dl._times_one_plus_power_sum(terms, bounds, r)
+                    assert all(all(map(le, e, bounds)) and c for e, c in terms.items()), \
+                        (lam, variables, r)
+                    assert TruncatedSeries(bounds, terms) == expected, (lam, variables, r)
 
 
 def test_frobenius_equals_murnaghan_nakayama_at_deg_plus_one_ranks():
@@ -198,6 +217,23 @@ def test_frobenius_equals_murnaghan_nakayama_at_deg_plus_one_ranks():
                 assert frob(n) == sn.character(pt.pad(lam, n), rho), (lam, rho, n)
                 compared += 1
     assert compared == 1815
+
+
+def test_frobenius_equals_murnaghan_nakayama_on_columns_of_size_7():
+    # every lam of size 7, up to 7 rows, at the three small classes: the
+    # cycle factors 1 + p_2, 1 + p_3 and (1 + p_2)^2 in many variables;
+    # deg + 1 ranks each prove the identity, computed cold within 2 s
+    start_time = time.perf_counter()
+    compared = 0
+    for lam in pt.partitions_of(7):
+        for rho in ((1,), (0, 1), (2,)):
+            frob = dl.frobenius_coefficient.__wrapped__(lam, rho)
+            start = pt.validity_start(lam, rho)
+            for n in range(start, start + max(frob.degree, sum(lam)) + 1):
+                assert frob(n) == sn.character(pt.pad(lam, n), rho), (lam, rho, n)
+                compared += 1
+    assert compared == 360
+    assert time.perf_counter() - start_time < 2.0
 
 
 def test_frobenius_rejects_too_few_variables():

@@ -7,7 +7,7 @@ from operator import add, mul
 import pytest
 from hypothesis import given, strategies as st
 
-from repst import bounds as bd, deligne, groupalg, partitions, schurweyl as sw
+from repst import bounds as bd, deligne, groupalg, partitions
 from repst.exact import (
     BadConstantTermError,
     BinomialBasisPolynomial,
@@ -311,15 +311,12 @@ def test_polynomials_reject_non_rational_scalars(bad):
     lambda: BinomialBasisPolynomial([1, 0.5]),
     lambda: bd.lemma_scan(0.1, 1, 8),
     lambda: bd.find_threshold(0.5, 1, 10),
-    lambda: sw.irreducible_guaranteed(0.5, sw.VermaWeight((1,), 4)),
-    lambda: sw.irreducible_guaranteed("3", sw.VermaWeight((1,), 4)),
     lambda: partitions.check_partition([2.5, 1.9]),
     lambda: partitions.check_cycle_type([1.0]),
     lambda: deligne.class_size_poly((1.5,)),
     lambda: T.exact_div("x"),
 ], ids=["lagrange-float", "binomial-str", "binomial-float", "lemma-scan", "find-threshold",
-        "irreducible-float", "irreducible-str", "partition", "cycle-type", "class-size",
-        "exact-div"])
+        "partition", "cycle-type", "class-size", "exact-div"])
 def test_no_float_or_string_enters_the_exact_engine(call):
     """Each was silently converted before: a float to its binary value, a
     string parsed, a fractional part truncated."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from repst import bounds as bd, groupalg as ga, partitions as pt, verify
+from repst import bounds as bd, deligne as dl, groupalg as ga, partitions as pt, verify
 from conftest import partition_strategy
 
 
@@ -249,6 +249,8 @@ _GOVERNED = {
     "hilbert_coefficient": (ga.hilbert_coefficient, "m", 0, ga, "elementary_symmetric_table"),
     "hilbert_coefficient_gamma": (ga.hilbert_coefficient_gamma, "m", 0, ga, "bernoulli_poly"),
     "partitions_up_to": (pt.partitions_up_to, "n", 0, pt, "_partitions_of"),
+    **{f"oracle_suite:{key}": (lambda v, key=key: verify.oracle_suite(**{key: v}), key, 0, dl, "dimension_poly")
+       for key in ("max_size", "max_n", "max_m")},
 }
 
 

@@ -1,5 +1,3 @@
-import time
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -178,31 +176,6 @@ def scan_every_row(lam, space_dim, t_max):
 def test_verma_candidates_match_a_scan_over_every_row(lam, extra, t_max):
     weight = sw.VermaWeight(lam, len(lam) + extra)
     assert sw.verma_candidates(weight, t_max) == scan_every_row(lam, len(lam) + extra, t_max)
-
-
-def test_irreducible_guaranteed():
-    w1 = sw.VermaWeight((1,), 4)
-    assert sw.irreducible_guaranteed(Fraction(1, 2), w1)
-    assert sw.irreducible_guaranteed(Fraction(-2), w1)
-    assert sw.irreducible_guaranteed(1, w1)
-    assert not sw.irreducible_guaranteed(0, w1)
-    assert not sw.irreducible_guaranteed(3, sw.VermaWeight((), 4))
-
-
-@given(lam=partition_strategy(max_n=6), extra=st.integers(1, 4), t=st.integers(-2, 14))
-def test_irreducible_guaranteed_matches_the_candidate_list(lam, extra, t):
-    weight = sw.VermaWeight(lam, len(lam) + extra)
-    expected = t < 0 or t not in sw.candidate_t_values(weight, t)
-    assert sw.irreducible_guaranteed(t, weight) == expected
-
-
-def test_irreducible_guaranteed_at_a_huge_rank_is_immediate():
-    weight = sw.VermaWeight((2, 1), 4)
-    start = time.perf_counter()
-    # the first row admits every t >= |lam| + lam_1, so a huge t is a candidate
-    assert not sw.irreducible_guaranteed(10 ** 12, weight)
-    assert sw.irreducible_guaranteed(10 ** 12 + Fraction(1, 3), weight)
-    assert time.perf_counter() - start < 0.05
 
 
 def test_verma_candidates_cap_t_max(monkeypatch):
