@@ -31,13 +31,16 @@ from operator import itemgetter, mul
 from typing import Iterator
 
 from .exact import _ratio
-from .partitions import Partition, SizeMismatchError, check_size_cap, conjugate, format_partition
+from .partitions import Partition, SizeMismatchError, check_floor, check_size_cap, conjugate, format_partition
+
+LEAST_N = 1  # the appendix floor: every bound and scan here is stated for n >= 1
 
 
 def dimension_lower_bound(n: int, mu: Partition) -> Fraction:
     """binom(n, d) (d/n)^d with d = max(first row, first column) of mu."""
-    if n < 1 or sum(mu) != n:
-        raise SizeMismatchError(f"{format_partition(mu)} is not a partition of {n} >= 1")
+    check_floor("n", n, LEAST_N)
+    if sum(mu) != n:
+        raise SizeMismatchError(f"{format_partition(mu)} is not a partition of {n}")
     d = max(mu[0], len(mu))
     return comb(n, d) * Fraction(d, n) ** d
 
@@ -128,7 +131,7 @@ def bound_sweep(n: int) -> BoundSweepReport:
     (n) has dimension 1 and bound binom(n, n) = 1, and comes first in that
     order, so a passing sweep always reports slack 0 at (n): what it shows
     is that no d-class goes below its bound."""
-    check_size_cap("n", n, 1)
+    check_size_cap("n", n, LEAST_N)
     widest: dict[int, tuple[int, Partition]] = {}  # d -> (hook product, mu)
     count = 0
     for mu, hooks in _wide_hook_products(n):
@@ -159,7 +162,7 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     budget is tested as n! <= threshold * H(mu), in integers, and hook_dim
     is never called.  n and k are held to the size rule before n^k is formed.
     """
-    check_size_cap("n", n, 1)
+    check_size_cap("n", n, LEAST_N)
     check_size_cap("k", k)
     # hook_dim is an integer, so comparing it with the floor is exact
     threshold = floor(Fraction(*_ratio(c)) * Fraction(n) ** k)
@@ -176,14 +179,14 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
 def find_threshold(c: Fraction, k: int, n_max: int) -> tuple[int | None, list[Partition]]:
     """Smallest N such that lemma_scan(c, k, n) is empty for every
     N <= n <= n_max, or None if even n_max has violations, together with
-    lemma_scan(c, k, N - 1): the last counterexamples, empty when N is 1 or
-    None.  c, then n_max (by check_size_cap), are checked before any scan,
+    lemma_scan(c, k, N - 1): the last counterexamples, empty when N is LEAST_N
+    or None.  c, then n_max (by check_size_cap), are checked before any scan,
     and each n is one walk of _wide_hook_products, which calls hook_dim for
     no partition and caches none."""
     c = Fraction(*_ratio(c))
-    check_size_cap("n_max", n_max, 1)
+    check_size_cap("n_max", n_max, LEAST_N)
     threshold = None
-    for n in range(n_max, 0, -1):
+    for n in range(n_max, LEAST_N - 1, -1):
         found = lemma_scan(c, k, n)
         if found:
             return threshold, found if threshold else []

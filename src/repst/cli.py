@@ -198,7 +198,7 @@ def cmd_bounds(args) -> Output:
 
 def cmd_thresholds(args) -> Output:
     from . import bounds
-    check_size_cap("n_max", args.n_max, 1)
+    check_size_cap("n_max", args.n_max, bounds.LEAST_N)
     for k in args.k:
         check_size_cap("k", k)
     for flag, values in (("--c", args.c), ("--k", args.k)):
@@ -213,7 +213,7 @@ def cmd_thresholds(args) -> Output:
             budgets.append({"c": rational_to_json(c), "k": k, "threshold": threshold,
                             "last": [format_partition(mu) for mu in last]})
             row = f"{str(c):>6} {k:>3} {'> ' + str(args.n_max) if threshold is None else threshold:>10}"
-            if threshold == 1:
+            if threshold == bounds.LEAST_N:
                 row += "  (none anywhere)"
             elif last:
                 row += f"  n={threshold - 1}: " + " ".join(f"[{format_partition(mu)}]" for mu in last[:4])

@@ -29,7 +29,7 @@ from .exact import (
     linear_product,
     to_binomial_basis,
 )
-from .partitions import CycleType, Partition, check_cycle_type, check_partition, support
+from .partitions import CycleType, Partition, check_cycle_type, check_floor, check_partition, support
 
 Decomposition = dict[Partition, int]
 
@@ -160,8 +160,7 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
     ell = len(lam)
     if variables is None:
         variables = ell
-    if variables < ell:
-        raise ValueError(f"need at least {ell} variables for {lam}")
+    check_floor("variables", variables, ell)
     bounds = tuple(sum(lam[i] for i in range(k - 1, ell)) for k in range(1, variables + 1))
 
     integral = _alternant(bounds)

@@ -10,6 +10,7 @@ cycle_types_with_support_up_to lists the cycle types by moved points.
 
 validity_start(lam, rho) is the first rank n with a padded partition of n
 and room for the cycles of rho; interpolated identities hold from there on.
+Every floor on a size goes through check_floor; check_size_cap adds the cap.
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ Cell = tuple[int, int]
 _DEFAULT_ENUMERATION_LIMIT = 40
 
 
-class PadTooSmallError(ValueError):
-    """n is too small to prepend a long first row to the partition."""
-
-
 class LimitExceededError(ValueError):
     """Partition enumeration was requested beyond the configured cap."""
 
 
 class SizeMismatchError(ValueError):
     """A size does not fit its data: fewer points than the cycles move, a
-    partition of another size, or a size below its floor (check_size_cap)."""
+    partition of another size, or a size below its floor (check_floor)."""
 
 
 class BadLimitError(ValueError):
@@ -67,12 +64,17 @@ def enumeration_limit() -> int:
     return limit
 
 
-def check_size_cap(name: str, value: int, least: int = 0) -> None:
-    """The one size rule, checked before any work: a size or a cap on sizes
-    below least is a SizeMismatchError, above enumeration_limit() a LimitExceededError."""
+def check_floor(name: str, value: int, least: int = 0) -> None:
+    """The one floor rule, checked before any work: below least is a SizeMismatchError."""
     if value < least:
         floor = "nonnegative" if least == 0 else f">= {least}"
         raise SizeMismatchError(f"{name} must be {floor}, got {value}")
+
+
+def check_size_cap(name: str, value: int, least: int = 0) -> None:
+    """The one size rule, checked before any work: check_floor, and a size
+    or a cap on sizes above enumeration_limit() is a LimitExceededError."""
+    check_floor(name, value, least)
     if value > enumeration_limit():
         raise LimitExceededError(
             f"{name}={value} exceeds the enumeration cap {enumeration_limit()}; "
@@ -220,8 +222,7 @@ def pad(lam: Partition, n: int) -> Partition:
 
     Defined only from n = validity_start(lam) on.
     """
-    if n < validity_start(lam):
-        raise PadTooSmallError(f"cannot pad {lam} to size {n}")
+    check_floor("n", n, validity_start(lam))
     return (n - sum(lam),) + lam if n > sum(lam) else lam
 
 

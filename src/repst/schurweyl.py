@@ -17,8 +17,8 @@ from math import comb
 
 from . import deligne
 from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries
-from .partitions import (InvariantError, Partition, cells, check_size_cap, format_partition,
-                         hook_product, partitions_of)
+from .partitions import (InvariantError, Partition, cells, check_floor, check_size_cap,
+                         format_partition, hook_product, partitions_of)
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
 def degree_one_dimension(v: int) -> ExactPolynomial:
     """Dimension of the first filtration layer of the t-th tensor power of a
     v-dimensional unital space: v + (v-1)(t-1), equivalently 1 + t(v-1)."""
-    if v < 1:
-        raise ValueError("space dimension must be positive")
+    check_floor("v", v, 1)
     return (T - 1).scale(v - 1) + v
 
 
@@ -128,8 +127,7 @@ class VermaWeight:
     space_dim: int
 
     def __post_init__(self):
-        if self.space_dim < 1:
-            raise ValueError(f"space_dim must be at least 1, got {self.space_dim}")
+        check_floor("space_dim", self.space_dim, 1)  # no cap: rows past len(lam) + 1 go unscanned
         if len(self.lam) > self.space_dim - 1:
             raise ValueError(
                 f"partition {format_partition(self.lam)} needs at most "
@@ -157,10 +155,6 @@ def verma_candidates(weight: VermaWeight, t_max: int) -> list[tuple[int, int, in
     check_size_cap("t_max", t_max)
     return sorted((t, i, t - lo + 1) for i, lo, hi in _row_windows(weight, t_max)
                   for t in range(lo, hi + 1))
-
-
-def candidate_t_values(weight: VermaWeight, t_max: int) -> set[int]:
-    return {t for t, _, _ in verma_candidates(weight, t_max)}
 
 
 def interlacing_branch(lam: Partition, space_dim: int, size_bound: int) -> list[Partition]:

@@ -20,8 +20,6 @@ from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
 from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, binomial_poly
 from .partitions import cycle_types_with_support_up_to, format_partition, partitions_up_to, validity_start
 
-_BOUNDS_LEAST_MAX_N = 1  # bounds_suite sweeps n = 1..max_n, so below this it checks nothing
-
 
 @dataclass
 class Failure:
@@ -121,6 +119,7 @@ def _certify(report: SuiteReport, poly: ExactPolynomial, check: str, where: dict
 def pieri_suite(*, max_size: int = 8) -> SuiteReport:
     """(t - 1) * dim(lam) = sum of dims over the corner-move decomposition,
     as a polynomial identity, plus symmetry of the decomposition."""
+    partitions.check_size_cap("max_size", max_size)
     report = SuiteReport("pieri")
     decomps = {lam: deligne.pieri(lam) for lam in partitions_up_to(max_size)}
     for lam, decomp in decomps.items():
@@ -143,7 +142,8 @@ def stirling_suite(*, max_n: int = 13, max_m: int = 6) -> SuiteReport:
     """Filtered group-algebra Hilbert coefficients: interpolation route
     against elementary symmetric values beyond the nodes, agreement of the
     Gamma-ratio route, factorial row sums, integrality."""
-    partitions.check_size_cap("max_m", max_m)  # hilbert_coefficient holds each m to the cap
+    partitions.check_size_cap("max_n", max_n)
+    partitions.check_size_cap("max_m", max_m)
     report = SuiteReport("stirling")
     table = groupalg.elementary_symmetric_table(max_m, list(range(1, max_n)))
     for m in range(max_m + 1):
@@ -163,9 +163,9 @@ def stirling_suite(*, max_n: int = 13, max_m: int = 6) -> SuiteReport:
 def bounds_suite(*, max_n: int = 18) -> SuiteReport:
     """Appendix inequalities: the dimension lower bound for every partition,
     the AM-GM step, and the long-row-or-column scan window."""
-    partitions.check_size_cap("max_n", max_n, _BOUNDS_LEAST_MAX_N)
+    partitions.check_size_cap("max_n", max_n, bounds.LEAST_N)
     report = SuiteReport("bounds")
-    for n in range(1, max_n + 1):
+    for n in range(bounds.LEAST_N, max_n + 1):
         sweep = bounds.bound_sweep(n)
         report.record(sweep.passed, "dimension-bound", {"n": n},
                       lambda: f"min slack {sweep.min_slack} at {format_partition(sweep.argmin)}")
@@ -184,6 +184,7 @@ def graded_suite(*, degree: int = 6) -> SuiteReport:
     """Tensor-power Hilbert series: binomial coefficients of (1+x)^t, the
     graded decomposition identity, the first filtration layer, and integer
     specializations."""
+    partitions.check_size_cap("degree", degree)
     report = SuiteReport("graded")
     series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert((1, 1)), 10)
     for k in range(11):
@@ -232,7 +233,7 @@ def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
     for key, value in given.items():
         if not any(key in suite.__kwdefaults__ for suite in suites):
             raise ValueError(f"{key} does not apply to suite {name}")
-        least = _BOUNDS_LEAST_MAX_N if key == "max_n" and name in ("bounds", "all") else 0
+        least = bounds.LEAST_N if key == "max_n" and name in ("bounds", "all") else 0
         partitions.check_size_cap(key, value, least)
     reports = []
     for suite in suites:

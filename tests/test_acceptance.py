@@ -142,11 +142,11 @@ def test_criterion_09_verma_candidate_ranks():
         for lam in [(), (1,), (2,), (2, 1), (3, 1, 1)]:
             weight = sw.VermaWeight(lam, len(lam) + 3)
             for t_max in (0, 4, 9):
-                values = sw.candidate_t_values(weight, t_max)
+                values = {t for t, _, _ in sw.verma_candidates(weight, t_max)}
                 assert all(isinstance(t, int) and 0 <= t <= t_max for t in values)
-        for n_dim in (2, 3, 5):
-            assert sw.candidate_t_values(sw.VermaWeight((), n_dim), 10) == set(range(11))
-        assert sw.candidate_t_values(sw.VermaWeight((1,), 4), 10) == set(range(11)) - {1}
+        for lam, n_dim, gaps in [((), 2, set()), ((), 3, set()), ((), 5, set()), ((1,), 4, {1})]:
+            weight = sw.VermaWeight(lam, n_dim)
+            assert {t for t, _, _ in sw.verma_candidates(weight, 10)} == set(range(11)) - gaps
 
 
 def test_criterion_10_appendix_dimension_bounds():

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from repst import bounds, cli, deligne, partitions, schurweyl, snoracle, verify
-from repst.exact import ExactPolynomial, NonDivisibleError, OutOfBoundsError, T
+from repst import bounds, cli, deligne, groupalg, partitions, schurweyl, snoracle, verify
+from repst.exact import ExactPolynomial, NonDivisibleError, NotIntegerValuedError, OutOfBoundsError, T
 from repst.partitions import format_partition, parse_partition, partitions_up_to
 from conftest import poly_from_json
 
@@ -137,8 +137,8 @@ def test_branch_command(capsys):
     (["branch", "--lambda", "1", "--N", "3", "--max-size", "-1"],
      "size_bound must be nonnegative, got -1"),
     (["verma", "--lambda", "1", "--N", "4", "--t-max", "-5"], "t_max must be nonnegative, got -5"),
-    (["verma", "--lambda", "1", "--N", "0"], "space_dim must be at least 1, got 0"),
-    (["branch", "--lambda", "", "--N", "0"], "space_dim must be at least 1, got 0"),
+    (["verma", "--lambda", "1", "--N", "0"], "space_dim must be >= 1, got 0"),
+    (["branch", "--lambda", "", "--N", "0"], "space_dim must be >= 1, got 0"),
 ])
 def test_malformed_verma_and_branch_arguments_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -386,6 +386,30 @@ def test_verify_detects_a_broken_identity(capsys, monkeypatch):
     assert any(f["check"] == "jm-oracle" and f["where"]["n"] == 5
                for f in oracle["failures"])
     assert all(s["pass"] for s in data["suites"] if s["suite"] != "oracle")
+
+
+def test_verify_records_a_polynomial_that_is_not_integer_valued(capsys, monkeypatch):
+    """A certificate that fails is one integrality failure, detailed by the
+    error text, and not an error that stops the suite."""
+    original, bad = deligne.certify_integer_valued, groupalg.hilbert_coefficient(2)
+    error = NotIntegerValuedError(1, Fraction(1, 2))
+
+    def certify(poly):
+        if poly == bad:
+            raise error
+        return original(poly)
+    monkeypatch.setattr(deligne, "certify_integer_valued", certify)
+    report = verify.stirling_suite(max_n=8, max_m=3)
+    assert [(f.check, f.where, f.detail) for f in report.failures] == \
+        [("integrality-stirling", {"m": 2}, str(error))]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--json",
+                           "--max-size", "2", "--max-n", "8", "--max-m", "3", "--deg", "4")
+    assert code == 1
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert [(s["suite"], f) for s in data["suites"] for f in s["failures"]] == [
+        ("stirling", {"check": "integrality-stirling", "where": {"m": 2},
+                      "detail": "coefficient of binom(t,1) is 1/2, not an integer"})]
 
 
 def test_verify_formats_failure_text_only_for_a_failing_check(monkeypatch):

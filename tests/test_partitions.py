@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from repst import bounds as bd, deligne as dl, groupalg as ga, partitions as pt, verify
+from repst import bounds as bd, deligne as dl, groupalg as ga, partitions as pt, schurweyl as sw, verify
 from conftest import partition_strategy
 
 
@@ -117,7 +117,7 @@ def test_pad():
     assert pt.pad((), 5) == (5,)
     assert pt.pad((1,), 4) == (3, 1)
     assert pt.pad((2,), 4) == (2, 2)
-    with pytest.raises(pt.PadTooSmallError):
+    with pytest.raises(pt.SizeMismatchError, match=r"^n must be >= 5, got 4$"):
         pt.pad((2, 1), 4)
 
 
@@ -125,7 +125,7 @@ def test_pad_fails_exactly_below_the_validity_start():
     for lam in pt.partitions_up_to(6):
         for n in range(21):
             if n < pt.validity_start(lam):
-                with pytest.raises(pt.PadTooSmallError):
+                with pytest.raises(pt.SizeMismatchError, match=rf"^n must be >= {pt.validity_start(lam)}, got {n}$"):
                     pt.pad(lam, n)
             else:
                 assert sum(pt.pad(lam, n)) == n and pt.pad(lam, n)[1:] == lam
@@ -249,8 +249,20 @@ _GOVERNED = {
     "hilbert_coefficient": (ga.hilbert_coefficient, "m", 0, ga, "elementary_symmetric_table"),
     "hilbert_coefficient_gamma": (ga.hilbert_coefficient_gamma, "m", 0, ga, "bernoulli_poly"),
     "partitions_up_to": (pt.partitions_up_to, "n", 0, pt, "_partitions_of"),
+    "stirling_suite:max_n": (lambda n: verify.stirling_suite(max_n=n), "max_n", 0, ga, "elementary_symmetric_table"),
+    "pieri_suite": (lambda n: verify.pieri_suite(max_size=n), "max_size", 0, verify, "partitions_up_to"),
+    "graded_suite": (lambda d: verify.graded_suite(degree=d), "degree", 0, sw, "tensor_power_hilbert"),
     **{f"oracle_suite:{key}": (lambda v, key=key: verify.oracle_suite(**{key: v}), key, 0, dl, "dimension_poly")
        for key in ("max_size", "max_n", "max_m")},
+}
+
+# every floor with no cap above it: a call with the size, its name and its floor
+_FLOORED = {
+    "pad": (lambda n: pt.pad((2, 1), n), "n", 5),
+    "VermaWeight": (lambda n: sw.VermaWeight((), n), "space_dim", 1),
+    "degree_one_dimension": (sw.degree_one_dimension, "v", 1),
+    "frobenius_coefficient": (lambda v: dl.frobenius_coefficient((2, 1), (1,), variables=v), "variables", 2),
+    "dimension_lower_bound": (lambda n: bd.dimension_lower_bound(n, (1,) * n), "n", 1),
 }
 
 
@@ -272,6 +284,22 @@ def test_every_governed_size_is_checked_by_the_one_rule_before_any_work(monkeypa
         cap = pt.enumeration_limit()
         with pytest.raises(pt.LimitExceededError, match=rf"^{name}={cap + 1} exceeds the enumeration cap"):
             call(cap + 1)
+
+
+@pytest.mark.parametrize("entry", sorted(_FLOORED))
+def test_every_uncapped_floor_goes_through_the_one_rule(entry):
+    call, name, least = _FLOORED[entry]
+    with pytest.raises(pt.SizeMismatchError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
+        call(least - 1)
+    call(least)
+
+
+def test_the_uncapped_floors_take_sizes_far_past_the_enumeration_cap(monkeypatch):
+    monkeypatch.delenv("REPST_LIMITS", raising=False)
+    huge = 10**9
+    assert sw.VermaWeight((1,), huge).space_dim == huge
+    assert pt.pad((2, 1), huge) == (huge - 3, 2, 1)
+    assert sw.degree_one_dimension(huge)(1) == huge
 
 
 @given(lam=partition_strategy(max_n=12))
