@@ -30,7 +30,7 @@ from math import comb, factorial, floor, prod
 from operator import itemgetter, mul
 from typing import Iterator
 
-from .exact import _ratio
+from .exact import ratio
 from .partitions import Partition, SizeMismatchError, check_floor, check_size_cap, conjugate, format_partition
 
 LEAST_N = 1  # the appendix floor: every bound and scan here is stated for n >= 1
@@ -165,7 +165,7 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     check_size_cap("n", n, LEAST_N)
     check_size_cap("k", k)
     # hook_dim is an integer, so comparing it with the floor is exact
-    threshold = floor(Fraction(*_ratio(c)) * Fraction(n) ** k)
+    threshold = floor(Fraction(*ratio(c)) * Fraction(n) ** k)
     total = factorial(n)
     found = []
     for mu, hooks in _wide_hook_products(n):
@@ -183,7 +183,7 @@ def find_threshold(c: Fraction, k: int, n_max: int) -> tuple[int | None, list[Pa
     or None.  c, then n_max (by check_size_cap), are checked before any scan,
     and each n is one walk of _wide_hook_products, which calls hook_dim for
     no partition and caches none."""
-    c = Fraction(*_ratio(c))
+    c = Fraction(*ratio(c))
     check_size_cap("n_max", n_max, LEAST_N)
     threshold = None
     for n in range(n_max, LEAST_N - 1, -1):

@@ -31,8 +31,8 @@ from fractions import Fraction
 from . import deligne
 from .exact import (BinomialBasisPolynomial, ExactPolynomial, NonDivisibleError, OutOfBoundsError, Scalar,
                     to_binomial_basis)
-from .partitions import (InvariantError, _counts, check_size_cap, cycle_types_with_support_up_to,
-                         format_partition, parse_cycle_type, parse_partition,
+from .partitions import (InvariantError, check_size_cap, cycle_types_with_support_up_to,
+                         format_partition, parse_counts, parse_cycle_type, parse_partition,
                          partitions_up_to)
 
 CHECK_FAILED = 1
@@ -149,7 +149,7 @@ def cmd_class_size(args) -> Output:
 
 def cmd_hilbert(args) -> Output:
     from . import schurweyl
-    coefficients = _counts(args.h)
+    coefficients = parse_counts(args.h)
     series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert(coefficients), args.deg)
     rows = [(k, series.coefficient((k,))) for k in range(args.deg + 1)]
     h = ",".join(map(str, coefficients))
@@ -182,7 +182,8 @@ def cmd_branch(args) -> Output:
 
 def cmd_stirling(args) -> Output:
     from . import groupalg
-    table = groupalg.coefficient_table(args.max_m)
+    check_size_cap("m_max", args.max_m)
+    table = {m: groupalg.hilbert_coefficient(m) for m in range(args.max_m + 1)}
     return ({str(m): poly_to_json(p) for m, p in table.items()},
             [f"  x^{m}: {p}" for m, p in table.items()])
 

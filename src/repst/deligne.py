@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import ge, sub
 
 from . import partitions
 from .exact import (
@@ -149,7 +150,10 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
     Every other factor has integer coefficients and stays in plain ints, the
     integer block: _alternant lists the alternating factors' +-1 terms, and
     _times_one_plus_power_sum multiplies each cycle factor into them.  One
-    convolve_coefficient joins the two blocks.
+    convolve_coefficient joins the two blocks.  Every term of the power block
+    has a weakly decreasing u-exponent (x_i = u_1 ... u_i), so only the
+    integer terms e whose complement bounds - e is weakly decreasing can pair
+    with one; the rest are dropped before the join.
 
     At t = n the result is the character of the padded partition at the
     class rho, which is how the verification suites check it.
@@ -167,6 +171,8 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
     for i, count in enumerate(rho):
         for _ in range(count):
             integral = _times_one_plus_power_sum(integral, bounds, i + 2)
+    integral = {e: c for e, c in integral.items()
+                if all(map(ge, (rest := tuple(map(sub, bounds, e))), rest[1:]))}
     power_block = _one_plus_power_sum(bounds, 1).pow_poly(T - m)
     return convolve_coefficient(power_block, TruncatedSeries(bounds, integral), bounds)
 

@@ -68,7 +68,7 @@ class ExactPolynomial:
     __slots__ = ("nums", "den")
 
     def __new__(cls, coeffs: Iterable[Scalar] = ()):
-        pairs = [_ratio(c) for c in coeffs]
+        pairs = [ratio(c) for c in coeffs]
         den = lcm(*[q for _, q in pairs])
         return _make([p * (den // q) for p, q in pairs], den)
 
@@ -86,7 +86,7 @@ class ExactPolynomial:
         return len(self.nums) - 1
 
     def __call__(self, value: Scalar) -> Fraction:
-        p, q = _ratio(value)
+        p, q = ratio(value)
         nums = self.nums
         if not nums:
             return Fraction(0)
@@ -191,7 +191,7 @@ class ExactPolynomial:
         return _make([q * db for q in quot], s * self.den)
 
     def scale(self, c: Scalar) -> "ExactPolynomial":
-        p, q = _ratio(c)
+        p, q = ratio(c)
         return _make([a * p for a in self.nums], self.den * q)
 
     def __eq__(self, other):
@@ -235,7 +235,7 @@ def _make(nums: list[int], den: int) -> ExactPolynomial:
     return p
 
 
-def _ratio(c: Scalar) -> tuple[int, int]:
+def ratio(c: Scalar) -> tuple[int, int]:
     """(numerator, denominator) of an int or Fraction; anything else is a TypeError."""
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"expected int or Fraction, not {type(c).__name__}")
@@ -324,7 +324,7 @@ class BinomialBasisPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(*_ratio(c)) for c in coeffs]
+        cs = [Fraction(*ratio(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -392,10 +392,12 @@ class TruncatedSeries:
     """Formal power series in several commuting variables, truncated so the
     exponent of variable i never exceeds bounds[i].
 
-    Coefficients are ExactPolynomial in t.  Exponents outside the bounds are
-    silently dropped on construction and during arithmetic (that is what
-    truncation means); *querying* such a coefficient raises OutOfBoundsError
-    because the stored data says nothing about it.
+    The constructor takes `terms` as a dict from exponent tuples to
+    coefficients (int, Fraction or ExactPolynomial in t), each kept as an
+    ExactPolynomial.  Exponents outside the bounds are silently dropped on
+    construction and during arithmetic (that is what truncation means);
+    *querying* such a coefficient raises OutOfBoundsError because the stored
+    data says nothing about it.
 
     Operands of +, * and convolve_coefficient must have equal bounds (else
     ValueError).  Only the constructor validates; operators build via _series.
@@ -409,13 +411,12 @@ class TruncatedSeries:
 
     __slots__ = ("bounds", "terms")
 
-    def __new__(cls, bounds: Sequence[int], terms: Mapping[tuple[int, ...], object] = ()):
+    def __new__(cls, bounds: Sequence[int], terms: Mapping[tuple[int, ...], object] = {}):
         bounds = tuple(map(index, bounds))
         if any(b < 0 for b in bounds):
             raise ValueError("truncation bounds must be nonnegative")
         clean: dict[tuple[int, ...], ExactPolynomial] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, coeff in items:
+        for exp, coeff in terms.items():
             exp = tuple(map(index, exp))
             if len(exp) != len(bounds):
                 raise ValueError("exponent length does not match variable count")
@@ -468,10 +469,6 @@ class TruncatedSeries:
                     prev = out.get(exp)
                     out[exp] = prod if prev is None else prev + prod
         return _series(bounds, out)
-
-    def scale(self, value) -> "TruncatedSeries":
-        poly = _as_poly(value)
-        return _series(self.bounds, {e: c * poly for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         return _power(self, n, _series(self.bounds, {(0,) * len(self.bounds): ONE}), "series")
@@ -526,7 +523,7 @@ class TruncatedSeries:
             if not power.terms:
                 break
             c = (c * (exponent - (k - 1))).scale(Fraction(1, k))
-            result = result + power.scale(c)
+            result = result + _series(bounds, {e: x * c for e, x in power.terms.items()})
         return result
 
     def eval_t(self, value: Scalar) -> "TruncatedSeries":

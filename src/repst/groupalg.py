@@ -93,11 +93,3 @@ def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
         log_terms[(k,)] = poly.scale(Fraction((-1) ** (k + 1), k * (k + 1)))
     log_series = TruncatedSeries((m,), log_terms)
     return log_series.exp().coefficient((m,))
-
-
-def coefficient_table(m_max: int) -> dict[int, ExactPolynomial]:
-    """Coefficients 0..m_max keyed by degree; entry 0 is the constant 1.
-    m_max is checked against the enumeration cap before any work."""
-    check_size_cap("m_max", m_max)
-    return {m: hilbert_coefficient(m) for m in range(m_max + 1)}
-

@@ -29,7 +29,8 @@ _DEFAULT_ENUMERATION_LIMIT = 40
 
 
 class LimitExceededError(ValueError):
-    """Partition enumeration was requested beyond the configured cap."""
+    """A capped size (|lambda|, t_max, degree, m, k, ...) exceeds the
+    enumeration cap; check_size_cap raises it for every one of them."""
 
 
 class SizeMismatchError(ValueError):
@@ -91,7 +92,7 @@ def check_partition(parts) -> Partition:
     return lam
 
 
-def _counts(text: str) -> tuple[int, ...]:
+def parse_counts(text: str) -> tuple[int, ...]:
     """The integers of a comma-separated list; blank text is the empty list."""
     text = text.strip()
     return tuple(int(piece) for piece in text.split(",")) if text else ()
@@ -100,7 +101,7 @@ def _counts(text: str) -> tuple[int, ...]:
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated part list; the empty string is the empty
     diagram.  |lam| is held to the enumeration cap."""
-    lam = check_partition(_counts(text))
+    lam = check_partition(parse_counts(text))
     check_size_cap("|lambda|", sum(lam))
     return lam
 
@@ -122,7 +123,7 @@ def check_cycle_type(counts) -> CycleType:
 def parse_cycle_type(text: str) -> CycleType:
     """Parse "m1,m2,..." (counts of 2-cycles, 3-cycles, ...); "" is the
     identity.  The number of moved points is held to the enumeration cap."""
-    rho = check_cycle_type(_counts(text))
+    rho = check_cycle_type(parse_counts(text))
     check_size_cap("support(rho)", support(rho))
     return rho
 

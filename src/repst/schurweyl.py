@@ -44,9 +44,7 @@ def tensor_power_hilbert(h: UnitalHilbert, degree: int) -> TruncatedSeries:
     """h(x)^t, truncated at the given degree; at t = n this is the n-fold
     product of h with itself."""
     check_size_cap("degree", degree)
-    base = TruncatedSeries((degree,), {
-        (k,): c for k, c in enumerate(h.coefficients) if k <= degree
-    })
+    base = TruncatedSeries((degree,), {(k,): c for k, c in enumerate(h.coefficients)})
     return base.pow_poly(T)
 
 

@@ -156,12 +156,14 @@ def test_verma_and_branch_accept_a_one_dimensional_space(capsys):
     assert json.loads(out)["branches"] == [""]
 
 
-def test_stirling_command(capsys):
-    code, out, _ = run_cli(capsys, "stirling", "--max-m", "2", "--json")
+@pytest.mark.parametrize("max_m", [0, 3])
+def test_stirling_command(capsys, max_m):
+    code, out, _ = run_cli(capsys, "stirling", "--max-m", str(max_m), "--json")
     assert code == 0
     data = json.loads(out)
-    from repst import groupalg
-    for m in range(3):
+    assert list(data) == [str(m) for m in range(max_m + 1)]
+    assert poly_from_json(data["0"]) == 1
+    for m in range(max_m + 1):
         assert poly_from_json(data[str(m)]) == groupalg.hilbert_coefficient(m)
 
 

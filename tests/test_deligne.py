@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import factorial
-from operator import le, mul
+from operator import le, lt, mul
 import time
 
 import pytest
@@ -234,6 +234,24 @@ def test_frobenius_equals_murnaghan_nakayama_on_columns_of_size_7():
                 compared += 1
     assert compared == 360
     assert time.perf_counter() - start_time < 2.0
+
+
+def test_frobenius_joins_only_integer_terms_the_power_block_can_meet(monkeypatch):
+    # every power-block term has a weakly decreasing u-exponent, so every
+    # integer term reaching the join has a weakly decreasing complement
+    joined = []
+    convolve = dl.convolve_coefficient
+
+    def recording(power_block, integral, target):
+        joined.extend((integral.bounds, e) for e in integral.terms)
+        return convolve(power_block, integral, target)
+    monkeypatch.setattr(dl, "convolve_coefficient", recording)
+    for lam in pt.partitions_up_to(7):
+        for rho in ((1,), (0, 1), (2,)):
+            dl.frobenius_coefficient.__wrapped__(lam, rho)
+    assert joined
+    rests = [tuple(b - x for b, x in zip(bounds, e)) for bounds, e in joined]
+    assert [rest for rest in rests if any(map(lt, rest, rest[1:]))] == []
 
 
 def test_frobenius_rejects_too_few_variables():

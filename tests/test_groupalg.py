@@ -63,12 +63,6 @@ def test_hilbert_coefficient_known_values():
     assert ga.hilbert_coefficient(2)(5) == 35
 
 
-def test_coefficient_table_rejects_negative_m():
-    assert list(ga.coefficient_table(0)) == [0]
-    with pytest.raises(ValueError, match="m_max must be nonnegative"):
-        ga.coefficient_table(-1)
-
-
 @given(m=st.integers(0, 6), n=st.integers(0, 13))
 def test_hilbert_coefficient_interpolates_beyond_nodes(m, n):
     assert ga.hilbert_coefficient(m)(n) == e_m_of_initial_integers(m, n)
@@ -94,13 +88,6 @@ def test_coefficients_vanish_at_small_ranks(n):
 @given(m=st.integers(0, 7))
 def test_coefficients_are_integer_valued(m):
     certify_integer_valued(ga.hilbert_coefficient(m))
-
-
-def test_coefficient_table():
-    table = ga.coefficient_table(3)
-    assert sorted(table) == [0, 1, 2, 3]
-    assert table[0] == 1
-    assert table[1] == ga.hilbert_coefficient(1)
 
 
 def test_order_remark_is_documentation_only():

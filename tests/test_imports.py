@@ -1,8 +1,8 @@
 """The oracle stays independent, and only verify consults it: checked on the
 import statements in the source, so an import inside a function counts as well.  Invariants are
 checked with typed exceptions, never with assert, which python -O strips.
-Only the CLI writes JSON.  Every name the benchmark traces or reads a cache
-from still exists."""
+Only the CLI writes JSON, and no module imports another's private name.
+Every name the benchmark traces or reads a cache from still exists."""
 
 import ast
 import importlib
@@ -78,6 +78,26 @@ def test_only_the_cli_writes_json():
             for path in library
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("to_json")] == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A `_`-prefixed name stays in its module: no module imports one from
+    another repst module, or reads one off a repst module it imported."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "repst"):
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+                if node.module in (None, "repst"):
+                    modules.update(alias.asname or alias.name for alias in node.names)
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    assert found == []
 
 
 def _benchmark_layers():
