@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
-from operator import ge, sub
 
 from . import partitions
 from .exact import (
@@ -74,58 +74,46 @@ def class_size_poly(rho: CycleType) -> ExactPolynomial:
     return falling_factorial_poly(m).scale(Fraction(1, den))
 
 
-def _one_plus_power_sum(bounds: tuple[int, ...], r: int) -> TruncatedSeries:
-    """1 + p_r, with p_r = sum_i x_i^r after the substitution x_i = u_1 ... u_i."""
-    n = len(bounds)
-    return TruncatedSeries(bounds, {(r,) * i + (0,) * (n - i): 1 for i in range(n + 1)})
-
-
-def _alternant(bounds: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """prod_i (1 - x_i) prod_{i>j} (1 - x_i / x_j) in len(bounds) variables,
+def _alternant(lam: Partition) -> dict[tuple[int, ...], int]:
+    """prod_i (1 - x_i) prod_{i>j} (1 - x_i / x_j) in len(lam) variables,
     as the alternant sum_sigma sgn(sigma) prod_k x_k^{k - sigma(k)} over the
-    permutations sigma of 0..len(bounds), with x_0 = 1 (Macdonald, I.3): the
-    terms that fit the bounds, as u-exponent -> +-1, where the integer block
-    of frobenius_coefficient starts.
+    permutations sigma of 0..len(lam), with x_0 = 1 (Macdonald, I.3): the
+    terms whose x-exponent c stays <= lam, as c -> +-1, where the integer
+    block of frobenius_coefficient starts.
 
-    After x_i = u_1 ... u_i the exponent of u_k is the suffix sum
-    a_k = sum_{i>=k} (i - sigma(i)) >= 0.  A depth-first search assigns
-    sigma(len(bounds)), ..., sigma(1) from the sorted free values and drops a
-    branch as soon as a_k > bounds[k-1].  Taking the value at position pos of
-    the i + 1 free values leaves i - pos larger ones for the positions below
-    i, so it flips the sign by (-1)^(i - pos)."""
+    A depth-first search assigns sigma(len(lam)), ..., sigma(1) from the
+    sorted free values and drops a branch as soon as c_i = i - sigma(i)
+    passes lam_i: no other factor lowers an x-exponent, so such a term never
+    meets x^lam.  Taking the value at position pos of the i + 1 free values
+    leaves i - pos larger ones for the positions below i, so it flips the
+    sign by (-1)^(i - pos)."""
     terms: dict[tuple[int, ...], int] = {}
-    exponent = [0] * len(bounds)
+    exponent = [0] * len(lam)
 
-    def assign(i: int, free: list[int], suffix: int, sign: int):
+    def assign(i: int, free: list[int], sign: int):
         if i == 0:
             terms[tuple(exponent)] = sign
             return
         for pos, value in enumerate(free):
-            a = suffix + i - value
-            if a <= bounds[i - 1]:
-                exponent[i - 1] = a
-                assign(i - 1, free[:pos] + free[pos + 1:], a,
-                       -sign if (i - pos) % 2 else sign)
+            if i - value <= lam[i - 1]:
+                exponent[i - 1] = i - value
+                assign(i - 1, free[:pos] + free[pos + 1:], -sign if (i - pos) % 2 else sign)
 
-    assign(len(bounds), list(range(len(bounds) + 1)), 0, 1)
+    assign(len(lam), list(range(len(lam) + 1)), 1)
     return terms
 
 
 def _times_one_plus_power_sum(terms: dict[tuple[int, ...], int],
-                              bounds: tuple[int, ...], r: int) -> dict[tuple[int, ...], int]:
-    """terms * (1 + p_r), truncated to bounds, in integers, without the terms
-    that cancel.  The term x_j^r adds r to u_1 ... u_j, so once u_j would
-    pass its bound every larger j would too, and the walk over j stops there."""
+                              lam: Partition, r: int) -> dict[tuple[int, ...], int]:
+    """terms * (1 + p_r) in integers, kept to the x-exponents c <= lam,
+    without the terms that cancel: the term x_j^r adds r to c_j."""
     out = dict(terms)
-    for exponent, c in terms.items():
-        shifted = list(exponent)
-        for j, bound in enumerate(bounds):
-            shifted[j] += r
-            if shifted[j] > bound:
-                break
-            key = tuple(shifted)
-            out[key] = out.get(key, 0) + c
-    return {exponent: c for exponent, c in out.items() if c}
+    for c, coeff in terms.items():
+        for j, bound in enumerate(lam):
+            if c[j] + r <= bound:
+                key = c[:j] + (c[j] + r,) + c[j + 1:]
+                out[key] = out.get(key, 0) + coeff
+    return {c: coeff for c, coeff in out.items() if coeff}
 
 
 @lru_cache(maxsize=None)
@@ -139,42 +127,45 @@ def frobenius_coefficient(lam: Partition, rho: CycleType,
     worked in `variables` >= len(lam) variables (default: exactly len(lam)),
     with m the number of points rho moves (Macdonald, I.3 and I.7).
 
-    The substitution x_i = u_1 ... u_i turns every factor into a genuine
-    power series: x_i / x_j = u_{j+1} ... u_i for i > j, and p_r loses its
-    constant term, so the generalized binomial expansion of the first factor
-    is legitimate.  The target monomial has u_k-exponent sum_{i>=k} lam_i,
-    which is also the tightest truncation bound.
-
     Only the first factor depends on t.  It is the polynomial block, series
-    arithmetic with a polynomial in t for every coefficient (pow_poly).
-    Every other factor has integer coefficients and stays in plain ints, the
-    integer block: _alternant lists the alternating factors' +-1 terms, and
-    _times_one_plus_power_sum multiplies each cycle factor into them.  One
-    convolve_coefficient joins the two blocks.  Every term of the power block
-    has a weakly decreasing u-exponent (x_i = u_1 ... u_i), so only the
-    integer terms e whose complement bounds - e is weakly decreasing can pair
-    with one; the rest are dropped before the join.
+    arithmetic with a polynomial in t for every coefficient (pow_poly), and
+    only it needs the substitution x_i = u_1 ... u_i: p_1 becomes the sum of
+    the monomials u_1 ... u_i, and the target monomial has u_k-exponent
+    sum_{i>=k} lam_i, which is the tightest truncation bound.
+
+    Every other factor has integer coefficients and stays in plain ints and
+    in x-exponents, the integer block: _alternant lists the alternating
+    factors' +-1 terms, and _times_one_plus_power_sum multiplies each cycle
+    factor into them.  No factor but the alternating one has a negative
+    x-exponent, so with lam padded by zeros to `variables` both keep only the
+    terms with x-exponent c <= lam, the ones that can meet x^lam.  One
+    suffix-sum map takes x- to u-exponents, for the bounds and for the
+    integer block (an alternant term's suffix sums are >= 0), so that one
+    convolve_coefficient joins the two blocks.
 
     At t = n the result is the character of the padded partition at the
     class rho, which is how the verification suites check it.
     """
-    check_partition(lam)
+    lam = check_partition(lam)
     rho = check_cycle_type(rho)
     m = support(rho)
-    ell = len(lam)
     if variables is None:
-        variables = ell
-    check_floor("variables", variables, ell)
-    bounds = tuple(sum(lam[i] for i in range(k - 1, ell)) for k in range(1, variables + 1))
+        variables = len(lam)
+    check_floor("variables", variables, len(lam))
+    lam += (0,) * (variables - len(lam))
 
-    integral = _alternant(bounds)
+    def u_exponent(c: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(accumulate(reversed(c)))[::-1]
+
+    integral = _alternant(lam)
     for i, count in enumerate(rho):
         for _ in range(count):
-            integral = _times_one_plus_power_sum(integral, bounds, i + 2)
-    integral = {e: c for e, c in integral.items()
-                if all(map(ge, (rest := tuple(map(sub, bounds, e))), rest[1:]))}
-    power_block = _one_plus_power_sum(bounds, 1).pow_poly(T - m)
-    return convolve_coefficient(power_block, TruncatedSeries(bounds, integral), bounds)
+            integral = _times_one_plus_power_sum(integral, lam, i + 2)
+    bounds = u_exponent(lam)
+    power_block = TruncatedSeries(
+        bounds, {(1,) * i + (0,) * (variables - i): 1 for i in range(variables + 1)}).pow_poly(T - m)
+    integral = TruncatedSeries(bounds, {u_exponent(c): coeff for c, coeff in integral.items()})
+    return convolve_coefficient(power_block, integral, bounds)
 
 
 def central_eigenvalue_poly(rho: CycleType, lam: Partition) -> ExactPolynomial:

@@ -165,13 +165,34 @@ def _interval_product(bounds):
     return reduce(mul, factors, TruncatedSeries.constant(bounds, 1))
 
 
+def _padded(lam, variables):
+    return lam + (0,) * (variables - len(lam))
+
+
+def _u_exponent(c):
+    # x_i = u_1 ... u_i: u_k carries sum_{i>=k} c_i
+    return tuple(sum(c[k:]) for k in range(len(c)))
+
+
+def _x_terms_within(series, lam):
+    """The terms of a series in u-exponents, in x-exponents c_k = a_k - a_{k+1},
+    kept to c <= lam."""
+    out = {}
+    for a, coeff in series.terms.items():
+        c = tuple(a[k] - (a[k + 1] if k + 1 < len(a) else 0) for k in range(len(a)))
+        if all(map(le, c, lam)):
+            assert coeff.degree <= 0
+            out[c] = int(coeff(0))
+    return out
+
+
 def test_alternant_equals_product_of_interval_factors():
     for lam in pt.partitions_up_to(8):
         ell = len(lam)
         for variables in (ell, ell + 1, ell + 2):
-            bounds = tuple(sum(lam[k - 1:]) for k in range(1, variables + 1))
-            assert TruncatedSeries(bounds, dl._alternant(bounds)) == _interval_product(bounds), \
-                (lam, variables)
+            padded = _padded(lam, variables)
+            expected = _x_terms_within(_interval_product(_u_exponent(padded)), padded)
+            assert dl._alternant(padded) == expected, (lam, variables)
 
 
 @pytest.mark.parametrize("ell", range(1, 6))
@@ -180,28 +201,54 @@ def test_untruncated_alternant_is_signed_sum_over_permutations(ell):
     assert len(terms) == factorial(ell + 1)
     assert set(terms.values()) == {1, -1}
     assert sum(terms.values()) == 0
-    # term by term: u_k carries sum_{i>=k} (i - sigma(i)), sign by inversions
+    # term by term: x_k carries k - sigma(k), sign by inversions
     for sigma in permutations(range(ell + 1)):
-        exponent = tuple(sum(i - sigma[i] for i in range(k, ell + 1)) for k in range(1, ell + 1))
+        exponent = tuple(k - sigma[k] for k in range(1, ell + 1))
         inversions = sum(sigma[j] > sigma[i] for i in range(ell + 1) for j in range(i))
         assert terms[exponent] == (-1) ** inversions
 
 
 def test_integer_cycle_factor_equals_the_series_product():
     # from the alternant, one and then two factors 1 + p_r, as a class with
-    # one or two r-cycles multiplies them in
+    # one or two r-cycles multiplies them in; p_r = sum_i x_i^r is the sum of
+    # the monomials (u_1 ... u_i)^r
     for lam in pt.partitions_up_to(7):
         ell = len(lam)
         for variables in (ell, ell + 1):
-            bounds = tuple(sum(lam[k - 1:]) for k in range(1, variables + 1))
+            padded = _padded(lam, variables)
+            bounds = _u_exponent(padded)
             for r in range(2, 5):
-                terms = dl._alternant(bounds)
+                one_plus_power_sum = TruncatedSeries(
+                    bounds, {(r,) * i + (0,) * (variables - i): 1 for i in range(variables + 1)})
+                terms = dl._alternant(padded)
                 for _ in range(2):
-                    expected = TruncatedSeries(bounds, terms) * dl._one_plus_power_sum(bounds, r)
-                    terms = dl._times_one_plus_power_sum(terms, bounds, r)
-                    assert all(all(map(le, e, bounds)) and c for e, c in terms.items()), \
-                        (lam, variables, r)
-                    assert TruncatedSeries(bounds, terms) == expected, (lam, variables, r)
+                    series = TruncatedSeries(bounds, {_u_exponent(c): a for c, a in terms.items()})
+                    expected = _x_terms_within(series * one_plus_power_sum, padded)
+                    terms = dl._times_one_plus_power_sum(terms, padded, r)
+                    assert terms == expected, (lam, variables, r)
+
+
+def test_integer_block_keeps_only_exponents_within_lam(monkeypatch):
+    # every term the integer block builds can still meet x^lam: its
+    # x-exponent stays <= lam componentwise
+    built = []
+
+    def recording(function):
+        def record(*args):
+            terms = function(*args)
+            built.extend(terms)
+            return terms
+        return record
+    monkeypatch.setattr(dl, "_alternant", recording(dl._alternant))
+    monkeypatch.setattr(dl, "_times_one_plus_power_sum", recording(dl._times_one_plus_power_sum))
+    over = []
+    for lam in pt.partitions_up_to(7):
+        for rho in ((1,), (0, 1), (2,)):
+            built.clear()
+            dl.frobenius_coefficient.__wrapped__(lam, rho)
+            assert built, (lam, rho)
+            over += [(lam, rho, c) for c in built if not all(map(le, c, lam))]
+    assert over == []
 
 
 def test_frobenius_equals_murnaghan_nakayama_at_deg_plus_one_ranks():
