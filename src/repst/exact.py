@@ -401,6 +401,9 @@ class TruncatedSeries:
 
     Operands of +, * and convolve_coefficient must have equal bounds (else
     ValueError).  Only the constructor validates; operators build via _series.
+    A product passes each partner of a unit coefficient of its smaller
+    factor through as it is, with no polynomial product: every coefficient
+    of the u = p_1 that pow_poly multiplies by is 1.
 
     exp runs Miller's recurrence one coefficient at a time over the whole
     bounds box, which suits few variables; pow_poly sums the binomial series
@@ -462,10 +465,11 @@ class TruncatedSeries:
             small, large = large, small
         for ea, ca in small.items():
             room = tuple(map(sub, bounds, ea))
+            unit = ca == ONE
             for eb, cb in large.items():
                 if all(map(le, eb, room)):
                     exp = tuple(map(add, ea, eb))
-                    prod = ca * cb
+                    prod = cb if unit else ca * cb
                     prev = out.get(exp)
                     out[exp] = prod if prev is None else prev + prod
         return _series(bounds, out)

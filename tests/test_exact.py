@@ -431,11 +431,17 @@ def test_sum_and_product_match_brute_force_dicts(data, nvars):
         assert result.terms == {e: ExactPolynomial((c,)) for e, c in expected.items() if c}
 
 
+# the unit coefficient, polynomials in t and a non-integer constant, so a
+# product meets every kind of coefficient on either side
+series_coefficients = st.one_of(st.integers(-4, 4),
+                                st.sampled_from([ONE, T, T - 2, Fraction(1, 2)]))
+
+
 @given(
     a=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
-                      st.integers(-4, 4), max_size=5),
+                      series_coefficients, max_size=5),
     b=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
-                      st.integers(-4, 4), max_size=5),
+                      series_coefficients, max_size=5),
 )
 def test_series_product_matches_brute_force_convolution(a, b):
     bounds = (3, 2)
@@ -453,11 +459,39 @@ def test_series_product_matches_brute_force_convolution(a, b):
             assert convolve_coefficient(sa, sb, (e0, e1)) == total
 
 
+def test_unit_coefficients_take_no_polynomial_product(monkeypatch):
+    bounds = (3, 3)
+    units = TruncatedSeries(bounds, {(1, 0): 1, (0, 1): 1})
+    polys = TruncatedSeries(bounds, {(0, 0): T, (1, 0): T - 2, (2, 1): Fraction(1, 2),
+                                     (0, 3): T * T})
+    # x * polys + y * polys, with y * y^3 truncated away
+    expected = TruncatedSeries(bounds, {(1, 0): T, (2, 0): T - 2, (3, 1): Fraction(1, 2),
+                                        (1, 3): T * T, (0, 1): T, (1, 1): T - 2,
+                                        (2, 2): Fraction(1, 2)})
+    calls = []
+    multiply = ExactPolynomial.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return multiply(a, b)
+    monkeypatch.setattr(ExactPolynomial, "__mul__", counting)
+    assert units * polys == expected
+    assert polys * units == expected
+    assert calls == []
+
+
 def test_pow_poly_binomial_series():
     one_plus_x = TruncatedSeries((7,), {(0,): 1, (1,): 1})
     power = one_plus_x.pow_poly(T)
     for k in range(8):
         assert power.coefficient((k,)) == binomial_poly(0, k)
+
+
+def test_pow_poly_with_a_coefficient_in_t_specializes_to_the_power():
+    h = TruncatedSeries((2, 1), {(0, 0): 1, (1, 0): 1, (0, 1): T})
+    power = h.pow_poly(T)
+    for n in range(5):
+        assert power.eval_t(n) == h.eval_t(n) ** n
 
 
 def test_pow_poly_known_expansion():
