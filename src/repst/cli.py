@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["bounds", "graded", "oracle", "pieri", "stirling", "all"],
                    help="which identities to check")
     p.add_argument("--max-size", type=int, default=None, help="cap on |lambda|")
-    p.add_argument("--max-n", type=int, default=None, help="cap on the integer rank n")
+    p.add_argument("--max-n", type=int, default=None, help="largest n of the bounds sweep (bounds only)")
     p.add_argument("--max-m", type=int, default=None, help="cap on moved points / coefficient index")
     p.add_argument("--deg", type=int, default=None, help="series truncation degree")
 

@@ -1,5 +1,6 @@
 """Batch verification sweeps: every interpolated quantity against its
-classical oracle, every polynomial identity at its full documented range.
+classical oracle, and every polynomial identity at the deg + 1 ranks that
+prove it, since Rep(S_t) specializes to Rep(S_n) at t = n.
 
 Each suite returns a SuiteReport listing the individual comparisons that
 failed (none, on a correct build), each with its inputs as values.  The CLI
@@ -51,34 +52,27 @@ class SuiteReport:
         self.record(got == expected, check, where, lambda: f"expected {expected}, got {got}")
 
 
-def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
-                 max_m: int = 5) -> SuiteReport:
+def oracle_suite(*, max_size: int | None = None, max_m: int = 5) -> SuiteReport:
     """Interpolated dimensions, central-element eigenvalues, and character
-    values against honest S_n, plus integrality certificates.
-
-    With no overrides, each comparison runs over its full documented range
-    (dimensions to size 6 / n = 20, central elements to size 4 / moved
-    points 5 / n = 10).  Explicit limits apply to every sub-check, and each
-    meets the size rule before any check runs.
+    values against honest S_n at the ranks that prove them, plus integrality
+    certificates.  With no overrides, dimensions run to size 6, and central
+    elements to size 4 and 5 moved points.  Explicit limits apply to every
+    sub-check, and each meets the size rule before any check runs.
     """
-    for name, value in (("max_size", max_size), ("max_n", max_n), ("max_m", max_m)):
+    for name, value in (("max_size", max_size), ("max_m", max_m)):
         if value is not None:
             partitions.check_size_cap(name, value)
     report = SuiteReport("oracle")
-    dim_size = max_size if max_size is not None else 6
-    dim_n = max_n if max_n is not None else 20
-    cen_size = max_size if max_size is not None else 4
-    cen_n = max_n if max_n is not None else 10
+    dim_size, cen_size = (6, 4) if max_size is None else (max_size, max_size)
 
     for lam in partitions_up_to(dim_size):
         dim, jm = deligne.dimension_poly(lam), deligne.jm_eigenvalue(lam)
-        jm_start = validity_start(lam, (1,))  # never below validity_start(lam)
-        for n in range(validity_start(lam), dim_n + 1):
-            where = {"lambda": lam, "n": n}
-            mu = partitions.pad(lam, n)
-            report.expect("dim-oracle", where, snoracle.hook_dim(mu), dim(n))
-            if n >= jm_start:
-                report.expect("jm-oracle", where, snoracle.central_eigenvalue(n, (1,), mu), jm(n))
+        for n in _proving_ranks(lam, (), sum(lam), dim):
+            report.expect("dim-oracle", {"lambda": lam, "n": n},
+                          snoracle.hook_dim(partitions.pad(lam, n)), dim(n))
+        for n in _proving_ranks(lam, (1,), 2, jm):
+            report.expect("jm-oracle", {"lambda": lam, "n": n},
+                          snoracle.central_eigenvalue(n, (1,), partitions.pad(lam, n)), jm(n))
         _certify(report, dim, "integrality-dim", {"lambda": lam})
 
     cycle_types = cycle_types_with_support_up_to(max_m)
@@ -86,7 +80,7 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
         for rho in cycle_types:
             frob = deligne.frobenius_coefficient(lam, rho)
             omega = deligne.central_eigenvalue_poly(rho, lam)
-            for n in range(validity_start(lam, rho), cen_n + 1):
+            for n in _proving_ranks(lam, rho, max(sum(lam), partitions.support(rho)), frob, omega):
                 where = {"lambda": lam, "rho": rho, "n": n}
                 mu = partitions.pad(lam, n)
                 report.expect("character-shadow", where, snoracle.character(mu, rho), frob(n))
@@ -106,6 +100,13 @@ def oracle_suite(*, max_size: int | None = None, max_n: int | None = None,
                           "coefficient changed when adding a variable")
 
     return report
+
+
+def _proving_ranks(lam, rho, oracle_degree: int, *polys: ExactPolynomial) -> range:
+    """The deg + 1 ranks from validity_start(lam, rho) that prove polys equal
+    to an S_n side of degree oracle_degree in n; deg is the largest degree."""
+    start = validity_start(lam, rho)
+    return range(start, start + max(oracle_degree, *(p.degree for p in polys)) + 1)
 
 
 def _certify(report: SuiteReport, poly: ExactPolynomial, check: str, where: dict):
@@ -138,23 +139,22 @@ def pieri_suite(*, max_size: int = 8) -> SuiteReport:
     return report
 
 
-def stirling_suite(*, max_n: int = 13, max_m: int = 6) -> SuiteReport:
+def stirling_suite(*, max_m: int = 6) -> SuiteReport:
     """Filtered group-algebra Hilbert coefficients: interpolation route
-    against elementary symmetric values beyond the nodes, agreement of the
-    Gamma-ratio route, factorial row sums, integrality."""
-    partitions.check_size_cap("max_n", max_n)
+    against elementary symmetric values at the 2m + 1 ranks past its nodes,
+    a proof at degree 2m; the Gamma-ratio route; row sums n!; integrality."""
     partitions.check_size_cap("max_m", max_m)
     report = SuiteReport("stirling")
-    table = groupalg.elementary_symmetric_table(max_m, list(range(1, max_n)))
+    table = groupalg.elementary_symmetric_table(max_m, list(range(1, 4 * max_m + 1)))
     for m in range(max_m + 1):
         poly = groupalg.hilbert_coefficient(m)
-        for n in range(2 * m + 1, max_n + 1):
+        for n in range(2 * m + 1, 4 * m + 2):
             report.expect("stirling-values", {"m": m, "n": n}, table[n - 1][m], poly(n))
         gamma = groupalg.hilbert_coefficient_gamma(m)
         report.record(gamma == poly, "gamma-route", {"m": m},
                       lambda: f"interpolation gave {poly}, Gamma expansion gave {gamma}")
         _certify(report, poly, "integrality-stirling", {"m": m})
-    for n in range(min(9, max_n) + 1):
+    for n in range(10):
         total = sum(groupalg.hilbert_coefficient(m)(n) for m in range(max(n, 1)))
         report.expect("stirling-row-sum", {"n": n}, factorial(n), total)
     return report
@@ -233,7 +233,7 @@ def run_suites(name: str, **limits: int | None) -> list[SuiteReport]:
     for key, value in given.items():
         if not any(key in suite.__kwdefaults__ for suite in suites):
             raise ValueError(f"{key} does not apply to suite {name}")
-        least = bounds.LEAST_N if key == "max_n" and name in ("bounds", "all") else 0
+        least = bounds.LEAST_N if key == "max_n" else 0
         partitions.check_size_cap(key, value, least)
     reports = []
     for suite in suites:

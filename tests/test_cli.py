@@ -218,7 +218,7 @@ def test_stirling_cap_beyond_the_enumeration_limit_fails_fast():
 
 
 def test_verify_size_cap_beyond_the_enumeration_limit_fails_fast():
-    result = run_cli_process("verify", "--suite", "oracle", "--max-size", "50", "--max-n", "0")
+    result = run_cli_process("verify", "--suite", "oracle", "--max-size", "50")
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == ("error: max_size=50 exceeds the enumeration cap 40; "
@@ -294,8 +294,7 @@ def test_unknown_flag_exits_2():
 
 
 def test_verify_suite_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle",
-                           "--max-size", "3", "--max-n", "8", "--max-m", "4")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--max-size", "3", "--max-m", "4")
     assert code == 0
     assert "oracle" in out and "pass" in out
 
@@ -333,7 +332,7 @@ def test_verify_negative_cap_exits_2(capsys, flag, key):
 # every verify cap flag, and the suites that read it
 _VERIFY_CAPS = {
     "--max-size": ("max_size", {"oracle", "pieri"}),
-    "--max-n": ("max_n", {"oracle", "stirling", "bounds"}),
+    "--max-n": ("max_n", {"bounds"}),
     "--max-m": ("max_m", {"oracle", "stirling"}),
     "--deg": ("degree", {"graded"}),
 }
@@ -354,7 +353,7 @@ def test_each_suite_reads_only_its_own_caps():
     readers = {suite: set(fn.__kwdefaults__) for suite, fn in verify.SUITES.items()}
     assert readers == {suite: {key for key, suites in _VERIFY_CAPS.values() if suite in suites}
                        for suite in verify.SUITES}
-    assert sum(map(len, readers.values())) == 8
+    assert sum(map(len, readers.values())) == 6
 
 
 def test_run_suites_rejects_an_unknown_suite():
@@ -390,6 +389,63 @@ def test_verify_detects_a_broken_identity(capsys, monkeypatch):
     assert all(s["pass"] for s in data["suites"] if s["suite"] != "oracle")
 
 
+def test_oracle_suite_catches_a_class_sum_wrong_only_past_rank_10(monkeypatch):
+    """A cubic that vanishes at n = 8, 9 and 10, the only ranks a sweep
+    capped at n = 10 compared, added to one class-sum eigenvalue: the
+    deg + 1 ranks from the validity start reach past it."""
+    original = deligne.central_eigenvalue_poly
+    cubic = ((T - 8) * (T - 9) * (T - 10)).scale(3)
+
+    def mutated(rho, lam):
+        poly = original(rho, lam)
+        return poly + cubic if (rho, lam) == ((0, 1), (4,)) else poly
+    monkeypatch.setattr(deligne, "central_eigenvalue_poly", mutated)
+    report = verify.oracle_suite()
+    assert [(f.check, f.where) for f in report.failures] == [
+        ("central-oracle", {"lambda": (4,), "rho": (0, 1), "n": n}) for n in (11, 12)]
+
+
+def _proof_span(check, where):
+    """The validity start of one S_n comparison, and its degree D: the larger
+    of the degree of the polynomial compared and the degree in n that the
+    S_n side is known to have."""
+    lam, rho = where.get("lambda"), where.get("rho")
+    if check == "dim-oracle":
+        return partitions.validity_start(lam), max(deligne.dimension_poly(lam).degree, sum(lam))
+    if check == "jm-oracle":
+        return partitions.validity_start(lam, (1,)), max(deligne.jm_eigenvalue(lam).degree, 2)
+    if check == "character-shadow":
+        return partitions.validity_start(lam, rho), max(deligne.frobenius_coefficient(lam, rho).degree,
+                                                        sum(lam))
+    if check == "central-oracle":
+        return partitions.validity_start(lam, rho), max(deligne.central_eigenvalue_poly(rho, lam).degree,
+                                                        partitions.support(rho))
+    assert check == "stirling-values", check
+    m = where["m"]
+    return 2 * m + 1, max(groupalg.hilbert_coefficient(m).degree, 2 * m)
+
+
+def test_every_oracle_and_stirling_comparison_is_a_proof(monkeypatch):
+    """Each polynomial compared with S_n at ranks n is seen at the D + 1
+    consecutive ranks from its start that prove it, so no rank cap can turn
+    a comparison back into a sample."""
+    ranks = {}
+    original = verify.SuiteReport.record
+
+    def record(self, ok, check, where, detail=""):
+        if "n" in where and check != "stirling-row-sum":  # n! is no polynomial in n
+            inputs = tuple((key, value) for key, value in where.items() if key != "n")
+            ranks.setdefault((check, inputs), set()).add(where["n"])
+        return original(self, ok, check, where, detail)
+    monkeypatch.setattr(verify.SuiteReport, "record", record)
+    assert verify.oracle_suite().passed and verify.stirling_suite().passed
+    assert {check for check, _ in ranks} == {
+        "dim-oracle", "jm-oracle", "character-shadow", "central-oracle", "stirling-values"}
+    for (check, inputs), seen in ranks.items():
+        start, degree = _proof_span(check, dict(inputs))
+        assert set(range(start, start + degree + 1)) <= seen, (check, inputs, sorted(seen))
+
+
 def test_verify_records_a_polynomial_that_is_not_integer_valued(capsys, monkeypatch):
     """A certificate that fails is one integrality failure, detailed by the
     error text, and not an error that stops the suite."""
@@ -401,7 +457,7 @@ def test_verify_records_a_polynomial_that_is_not_integer_valued(capsys, monkeypa
             raise error
         return original(poly)
     monkeypatch.setattr(deligne, "certify_integer_valued", certify)
-    report = verify.stirling_suite(max_n=8, max_m=3)
+    report = verify.stirling_suite(max_m=3)
     assert [(f.check, f.where, f.detail) for f in report.failures] == \
         [("integrality-stirling", {"m": 2}, str(error))]
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--json",
@@ -426,7 +482,7 @@ def test_verify_formats_failure_text_only_for_a_failing_check(monkeypatch):
         raise AssertionError("formatted the polynomials of a passing check")
     monkeypatch.setattr(ExactPolynomial, "__str__", refuse)
     assert verify.pieri_suite(max_size=4).passed
-    assert verify.stirling_suite(max_n=8, max_m=3).passed
+    assert verify.stirling_suite(max_m=3).passed
 
 
 def test_passing_pieri_and_bounds_suites_format_no_partition(monkeypatch):
@@ -505,7 +561,7 @@ def _flipped_content_sign(monkeypatch):
     import repst.partitions as partitions_module
     original = partitions_module.content_sum
     monkeypatch.setattr(partitions_module, "content_sum", lambda lam: -original(lam))
-    return ["verify", "--suite", "oracle", "--max-size", "2", "--max-n", "6", "--max-m", "2"]
+    return ["verify", "--suite", "oracle", "--max-size", "2", "--max-m", "2"]
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])

@@ -47,13 +47,15 @@ COMMANDS = [
     ["bounds", "--max-n", "18"],
     ["bounds", "--max-n", "1"],
     ["verify", "--suite", "all"],
-    ["verify", "--suite", "oracle", "--max-size", "4", "--max-n", "10"],
-    ["verify", "--suite", "stirling", "--max-n", "9", "--max-m", "3"],
+    ["verify", "--suite", "oracle", "--max-size", "4"],
+    ["verify", "--suite", "stirling", "--max-m", "3"],
     # exit 2: the README's examples, then malformed lists
     ["dim", "--lambda", "41"],
     ["class-size", "--rho", "0,14"],
     ["verma", "--lambda", "1", "--N", "4", "--t-max", "41"],
     ["verify", "--suite", "pieri", "--max-n", "5"],
+    ["verify", "--suite", "oracle", "--max-n", "10"],
+    ["verify", "--suite", "stirling", "--max-n", "9"],
     ["dim", "--lambda", "1,2"],
     ["dim", "--lambda", "2,,1"],
     ["pieri", "--lambda", "0"],

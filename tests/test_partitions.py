@@ -249,11 +249,10 @@ _GOVERNED = {
     "hilbert_coefficient": (ga.hilbert_coefficient, "m", 0, ga, "elementary_symmetric_table"),
     "hilbert_coefficient_gamma": (ga.hilbert_coefficient_gamma, "m", 0, ga, "bernoulli_poly"),
     "partitions_up_to": (pt.partitions_up_to, "n", 0, pt, "_partitions_of"),
-    "stirling_suite:max_n": (lambda n: verify.stirling_suite(max_n=n), "max_n", 0, ga, "elementary_symmetric_table"),
     "pieri_suite": (lambda n: verify.pieri_suite(max_size=n), "max_size", 0, verify, "partitions_up_to"),
     "graded_suite": (lambda d: verify.graded_suite(degree=d), "degree", 0, sw, "tensor_power_hilbert"),
     **{f"oracle_suite:{key}": (lambda v, key=key: verify.oracle_suite(**{key: v}), key, 0, dl, "dimension_poly")
-       for key in ("max_size", "max_n", "max_m")},
+       for key in ("max_size", "max_m")},
 }
 
 # every floor with no cap above it: a call with the size, its name and its floor
