@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, floor, prod
+from math import comb, factorial, floor
 from operator import itemgetter, mul
 from typing import Iterator
 
@@ -45,28 +45,26 @@ def dimension_lower_bound(n: int, mu: Partition) -> Fraction:
     return comb(n, d) * Fraction(d, n) ** d
 
 
-def row_peel_factors(mu: Partition) -> list[Fraction]:
-    """The factors 1 + (c_i - 1)/i, i = 1..d, where d is the first-row
-    length and c_i the length of column d - i + 1 (columns counted from the
-    right, so c_1 is the shortest)."""
-    if not mu:
-        return []
-    d = mu[0]
-    cols = conjugate(mu)
-    return [1 + Fraction(cols[d - i] - 1, i) for i in range(1, d + 1)]
-
-
 def amgm_check(mu: Partition) -> bool:
     """Exact check of the two-step estimate behind the bound, first-row case:
 
-        prod_i (1 + (c_i - 1)/i)  <=  prod_i c_i  <=  (n/d)^d.
+        prod_i (1 + (c_i - 1)/i)  <=  prod_i c_i  <=  (n/d)^d,
+
+    where d is the first-row length and c_i the length of column d - i + 1
+    (columns counted from the right, so c_1 is the shortest).  Every term is
+    positive, so it is checked with the denominators cleared, in integers:
+    prod_i (i + c_i - 1) <= d! prod_i c_i and d^d prod_i c_i <= n^d.
     """
     if not mu:
         return True
     n = sum(mu)
     d = mu[0]
-    col_product = prod(conjugate(mu))
-    return prod(row_peel_factors(mu)) <= col_product <= Fraction(n, d) ** d
+    peeled = 1
+    col_product = 1
+    for i, c in enumerate(reversed(conjugate(mu)), 1):
+        peeled *= i + c - 1
+        col_product *= c
+    return peeled <= factorial(d) * col_product and d ** d * col_product <= n ** d
 
 
 def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:
@@ -91,14 +89,20 @@ def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:
         k = len(betas)
         # all of rest as the top row: mu_1 = rest >= len(mu) = k + 1
         beta = rest + k
-        yield (rest, *below), hooks * (factorials[beta] // prod(map(beta.__sub__, betas)))
+        gaps = 1
+        for b in betas:
+            gaps *= beta - b
+        yield (rest, *below), hooks * (factorials[beta] // gaps)
         # another row at depth k must leave at least itself for the rows
         # above, and more than k + 1 cells, since the top row is at least as
         # long as the k + 2 or more rows of the diagram
         for row in range(low, min(rest // 2, rest - k - 2) + 1):
             beta = row + k
+            gaps = 1
+            for b in betas:
+                gaps *= beta - b
             stack.append(((row, *below), (*betas, beta), row, rest - row,
-                          hooks * (factorials[beta] // prod(map(beta.__sub__, betas)))))
+                          hooks * (factorials[beta] // gaps)))
 
 
 @dataclass(frozen=True)

@@ -161,8 +161,9 @@ def stirling_suite(*, max_m: int = 6) -> SuiteReport:
 
 
 def bounds_suite(*, max_n: int = 18) -> SuiteReport:
-    """Appendix inequalities: the dimension lower bound for every partition,
-    the AM-GM step, and the long-row-or-column scan window."""
+    """Appendix inequalities: the dimension lower bound for every partition
+    of n = 1..max_n, the AM-GM step for every partition of n = 1..min(12,
+    max_n), and the long-row-or-column scan window at n = 10..min(15, max_n)."""
     partitions.check_size_cap("max_n", max_n, bounds.LEAST_N)
     report = SuiteReport("bounds")
     for n in range(bounds.LEAST_N, max_n + 1):
@@ -172,11 +173,10 @@ def bounds_suite(*, max_n: int = 18) -> SuiteReport:
     for n in range(1, min(12, max_n) + 1):
         for mu in partitions.partitions_of(n):
             report.record(bounds.amgm_check(mu), "amgm", {"mu": mu}, "inequality failed")
-    if max_n >= 15:
-        for n in range(10, 16):
-            violations = bounds.lemma_scan(Fraction(1), 1, n)
-            report.record(not violations, "lemma-scan", {"C": "1", "k": 1, "n": n},
-                          lambda: f"violations: {[format_partition(v) for v in violations]}")
+    for n in range(10, min(15, max_n) + 1):
+        violations = bounds.lemma_scan(Fraction(1), 1, n)
+        report.record(not violations, "lemma-scan", {"C": "1", "k": 1, "n": n},
+                      lambda: f"violations: {[format_partition(v) for v in violations]}")
     return report
 
 

@@ -82,17 +82,42 @@ def test_criterion_03_pieri_polynomial_identity():
             assert lhs == rhs, lam
 
 
+def _central_element_oracle():
+    """Each class-sum eigenvalue and character for |lam| <= 4, moved <= 5,
+    against S_n at the deg + 1 ranks from its validity start that prove it:
+    deg is the larger of the degrees compared and the degree in n of the
+    S_n side, |lam| for the character and support(rho) for the class sum."""
+    for lam in pt.partitions_up_to(4):
+        for rho in pt.cycle_types_with_support_up_to(5):
+            omega = dl.central_eigenvalue_poly(rho, lam)
+            frob = dl.frobenius_coefficient(lam, rho)
+            start = _validity_start(lam, rho)
+            deg = max(sum(lam), sn.support(rho), omega.degree, frob.degree)
+            for n in range(start, start + deg + 1):
+                mu = pt.pad(lam, n)
+                assert omega(n) == sn.central_eigenvalue(n, rho, mu), (lam, rho, n)
+                assert frob(n) == sn.character(mu, rho), (lam, rho, n)
+
+
 def test_criterion_04_central_element_oracle():
-    with criterion(4, "class-sum eigenvalues and characters match S_n, |lam| <= 4, moved <= 5, n <= 10",
-                   budget=2.0):
-        for lam in pt.partitions_up_to(4):
-            for rho in pt.cycle_types_with_support_up_to(5):
-                omega = dl.central_eigenvalue_poly(rho, lam)
-                frob = dl.frobenius_coefficient(lam, rho)
-                for n in range(_validity_start(lam, rho), 11):
-                    mu = pt.pad(lam, n)
-                    assert omega(n) == sn.central_eigenvalue(n, rho, mu), (lam, rho, n)
-                    assert frob(n) == sn.character(mu, rho), (lam, rho, n)
+    with criterion(4, "class-sum eigenvalues and characters match S_n, |lam| <= 4, moved <= 5, "
+                      "at the deg + 1 ranks that prove each", budget=2.0):
+        _central_element_oracle()
+
+
+def test_criterion_04_catches_a_class_sum_wrong_only_past_rank_10(monkeypatch):
+    """A cubic that vanishes at n = 8, 9 and 10, the ranks a sweep capped at
+    n = 10 compared, added to one class-sum eigenvalue: criterion 4 reaches
+    past it, at n = 11."""
+    original = dl.central_eigenvalue_poly
+    cubic = ((T - 8) * (T - 9) * (T - 10)).scale(3)
+
+    def mutated(rho, lam):
+        poly = original(rho, lam)
+        return poly + cubic if (rho, lam) == ((0, 1), (4,)) else poly
+    monkeypatch.setattr(dl, "central_eigenvalue_poly", mutated)
+    with pytest.raises(AssertionError, match=r"^\(\(4,\), \(0, 1\), 11\)"):
+        _central_element_oracle()
 
 
 def test_criterion_05_transposition_class_sum_is_jm():

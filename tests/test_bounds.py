@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product as cartesian_product
 from math import comb, factorial, prod
 
 import pytest
@@ -96,13 +97,50 @@ def test_amgm_check_passes_everywhere(mu):
     assert bd.amgm_check(mu)
 
 
+def row_peel_factors(mu):
+    """The factors 1 + (c_i - 1)/i, i = 1..d, where d is the first-row
+    length and c_i the length of column d - i + 1 (columns counted from the
+    right, so c_1 is the shortest)."""
+    if not mu:
+        return []
+    d = mu[0]
+    cols = pt.conjugate(mu)
+    return [1 + Fraction(cols[d - i] - 1, i) for i in range(1, d + 1)]
+
+
+def _amgm_statement(mu):
+    """The estimate amgm_check tests, as its docstring states it, in Fractions."""
+    if not mu:
+        return True
+    n, d = sum(mu), mu[0]
+    return prod(row_peel_factors(mu)) <= prod(pt.conjugate(mu)) <= Fraction(n, d) ** d
+
+
+def test_amgm_check_is_the_fraction_statement(monkeypatch):
+    for n in range(17):
+        for mu in pt.partitions_of(n):
+            assert bd.amgm_check(mu) is _amgm_statement(mu) is True, mu
+    # the two agree where the statement is false too: column lengths, 0
+    # among them, that belong to no partition of n, for mu = (d, n - d)
+    outcomes = set()
+    for d in range(1, 4):
+        for cols in cartesian_product(range(5), repeat=d):
+            for module in (bd, pt):
+                monkeypatch.setattr(module, "conjugate", lambda mu: cols)
+            for n in range(d, 3 * d + 1):
+                expected = _amgm_statement((d, n - d))
+                assert bd.amgm_check((d, n - d)) is expected, (n, cols)
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 @given(mu=partition_strategy(max_n=12))
 def test_amgm_factors_multiply_to_something_below_the_power_bound(mu):
     if not mu:
         return
     n, d = sum(mu), mu[0]
     product = Fraction(1)
-    for f in bd.row_peel_factors(mu):
+    for f in row_peel_factors(mu):
         product *= f
     assert product <= Fraction(n, d) ** d
 
@@ -110,7 +148,7 @@ def test_amgm_factors_multiply_to_something_below_the_power_bound(mu):
 @given(mu=partition_strategy(max_n=12, min_n=1))
 def test_row_peel_identity_is_exact(mu):
     # the row-peeling step behind the bound, with d the first row of mu
-    assert sn.hook_dim(mu) * prod(bd.row_peel_factors(mu)) == sn.hook_dim(mu[1:]) * comb(sum(mu), mu[0])
+    assert sn.hook_dim(mu) * prod(row_peel_factors(mu)) == sn.hook_dim(mu[1:]) * comb(sum(mu), mu[0])
 
 
 @pytest.mark.parametrize("n", [1, 4, 12, 18])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -483,6 +484,23 @@ def test_verify_formats_failure_text_only_for_a_failing_check(monkeypatch):
     monkeypatch.setattr(ExactPolynomial, "__str__", refuse)
     assert verify.pieri_suite(max_size=4).passed
     assert verify.stirling_suite(max_m=3).passed
+
+
+@pytest.mark.parametrize("max_n, amgm, scans", [(9, 96, 0), (14, 271, 5), (15, 271, 6), (18, 271, 6)])
+def test_the_bounds_suite_scans_its_window_up_to_max_n(monkeypatch, max_n, amgm, scans):
+    """Each family of the bounds suite stops at max_n: the lemma scan checks
+    n = 10..min(15, max_n), as the AM-GM step checks n <= min(12, max_n), so
+    a cap of 14 keeps five scans instead of dropping the family."""
+    families = Counter()
+    original = verify.SuiteReport.record
+
+    def record(self, ok, check, where, detail=""):
+        families[check] += 1
+        return original(self, ok, check, where, detail)
+    monkeypatch.setattr(verify.SuiteReport, "record", record)
+    assert verify.bounds_suite(max_n=max_n).passed
+    # a Counter reads a missing family as 0
+    assert families == Counter({"dimension-bound": max_n, "amgm": amgm, "lemma-scan": scans})
 
 
 def test_passing_pieri_and_bounds_suites_format_no_partition(monkeypatch):
