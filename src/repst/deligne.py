@@ -183,11 +183,14 @@ def central_eigenvalue_poly(rho: CycleType, lam: Partition) -> ExactPolynomial:
 def certify_integer_valued(p: ExactPolynomial) -> BinomialBasisPolynomial:
     """Rewrite p over binomial coefficients and demand integer coefficients.
 
-    Raises NotIntegerValuedError (carrying the first fractional coefficient)
-    otherwise; a success is a proof that p maps integers to integers.
+    The binomial-basis form is in lowest terms over one denominator, so p is
+    certified exactly when that denominator is 1, and a success is a proof
+    that p maps integers to integers.  Otherwise raises NotIntegerValuedError
+    carrying the first coefficient (lowest j) that is not an integer.
     """
     b = to_binomial_basis(p)
-    for j, c in enumerate(b.coeffs):
-        if c.denominator != 1:
-            raise NotIntegerValuedError(j, c)
+    nums, den = b.nums, b.den
+    if den != 1:
+        j = next(j for j, c in enumerate(nums) if c % den)
+        raise NotIntegerValuedError(j, Fraction(nums[j], den))
     return b

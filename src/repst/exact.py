@@ -12,16 +12,20 @@ Representations:
                            int denominator, index = power of t; kept in
                            lowest terms, so products and sums are integer
                            convolutions with one gcd per result
-  BinomialBasisPolynomial  dense tuple of Fractions, index j = coefficient
-                           of binom(t, j); integer coefficients certify an
-                           integer-valued polynomial
+  BinomialBasisPolynomial  the same storage, index j = numerator of the
+                           coefficient of binom(t, j); denominator 1
+                           certifies an integer-valued polynomial
   TruncatedSeries          sparse dict mapping exponent tuples to nonzero
                            ExactPolynomial, truncated per variable; the
                            operands of one operation share their bounds
 
 Newton's forward-difference formula links the values at t = 0..N and the
-binom(t, j) coefficients; the one kernel _forward_differences serves both
-to_binomial_basis and its inverse, lagrange_interpolate.
+binom(t, j) coefficients.  Both directions run in ints over one
+denominator: to_binomial_basis takes the forward differences of p's integer
+numerators at t = 0..deg p, lagrange_interpolate those of the values put
+over their common denominator, and to_monomial sums c_j t(t-1)...(t-j+1)/j!
+over den * N!, each reduced once.  Fractions appear only when coefficients
+are read out.
 """
 
 from __future__ import annotations
@@ -56,29 +60,31 @@ class NotIntegerValuedError(ValueError):
         self.value = value
 
 
-class ExactPolynomial:
-    """Univariate polynomial in t with rational coefficients.
-
-    Stored as integer numerators `nums` (index = power of t) over one
-    positive denominator `den`, in canonical form: gcd(den, *nums) == 1,
-    no trailing zero numerators, and the zero polynomial is ((), 1).  Equal
-    polynomials therefore have equal (nums, den).  Immutable.
-    """
+class _CommonDenominator:
+    """Rational coefficients stored as int numerators `nums` over one
+    positive int denominator `den`, in canonical form: gcd(den, *nums) == 1,
+    no trailing zero numerators, and the zero sequence is ((), 1).  Equal
+    coefficient sequences therefore have equal (nums, den).  Immutable."""
 
     __slots__ = ("nums", "den")
 
     def __new__(cls, coeffs: Iterable[Scalar] = ()):
-        pairs = [ratio(c) for c in coeffs]
-        den = lcm(*[q for _, q in pairs])
-        return _make([p * (den // q) for p, q in pairs], den)
+        return _make(*_common_denominator(coeffs), cls)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ExactPolynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self.den
         return tuple(Fraction(n, den) for n in self.nums)
+
+
+class ExactPolynomial(_CommonDenominator):
+    """Univariate polynomial in t with rational coefficients, nums[k] / den
+    the coefficient of t^k, in the canonical form of _CommonDenominator."""
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -213,13 +219,14 @@ class ExactPolynomial:
         return format_terms(self.coeffs, lambda k: "" if k == 0 else ("t" if k == 1 else f"t^{k}"))
 
 
-_set_nums = ExactPolynomial.nums.__set__
-_set_den = ExactPolynomial.den.__set__
+_set_nums = _CommonDenominator.nums.__set__
+_set_den = _CommonDenominator.den.__set__
 
 
-def _make(nums: list[int], den: int) -> ExactPolynomial:
-    """The polynomial sum_k nums[k]/den * t^k for a positive den, in canonical
-    form; nums must be a fresh list, which this may modify."""
+def _make(nums: list[int], den: int, cls=ExactPolynomial):
+    """The cls (ExactPolynomial unless named) with coefficients nums[k]/den for
+    a positive den, in canonical form; nums must be a fresh list, which this
+    may modify."""
     while nums and not nums[-1]:
         nums.pop()
     if not nums:
@@ -229,10 +236,17 @@ def _make(nums: list[int], den: int) -> ExactPolynomial:
         if g != 1:
             nums = [n // g for n in nums]
             den //= g
-    p = object.__new__(ExactPolynomial)
+    p = object.__new__(cls)
     _set_nums(p, tuple(nums))
     _set_den(p, den)
     return p
+
+
+def _common_denominator(scalars: Iterable[Scalar]) -> tuple[list[int], int]:
+    """The scalars as int numerators over their least common denominator."""
+    pairs = [ratio(c) for c in scalars]
+    den = lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
 
 
 def ratio(c: Scalar) -> tuple[int, int]:
@@ -313,39 +327,41 @@ def falling_factorial_poly(m: int) -> ExactPolynomial:
     return linear_product(range(m))
 
 
-class BinomialBasisPolynomial:
-    """A polynomial written as sum_j c_j * binom(t, j).
+class BinomialBasisPolynomial(_CommonDenominator):
+    """A polynomial written as sum_j c_j * binom(t, j), with c_j = nums[j] / den
+    in the canonical form of _CommonDenominator, as ExactPolynomial is stored.
 
-    Integer c_j certify that the polynomial takes integer values at every
-    integer; a fractional c_j witnesses the opposite (at t = j, given that
-    values at 0..j-1 are integers).
+    So den == 1 exactly when every c_j is an integer, which certifies that the
+    polynomial takes integer values at every integer.  Otherwise the first j
+    with nums[j] % den != 0 witnesses the opposite: the value at t = j is not
+    an integer, given that the values at 0..j-1 are.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(*ratio(c)) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinomialBasisPolynomial is immutable")
+    __slots__ = ()
 
     def to_monomial(self) -> ExactPolynomial:
-        p = ZERO
-        for j, c in enumerate(self.coeffs):
-            if c:
-                p = p + binomial_poly(0, j).scale(c)
-        return p
+        """sum_j c_j t(t-1)...(t-j+1)/j! in ints over den * D!, D the top
+        index: Horner's rule in the factors t - j, with the numerator of c_j
+        scaled by D!/j!, and one reduction at the end."""
+        nums = self.nums
+        if not nums:
+            return ZERO
+        acc, weight = [nums[-1]], 1  # weight = D!/j!
+        for j in range(len(nums) - 2, -1, -1):
+            weight *= j + 1
+            acc.insert(0, 0)  # times (t - j), as in linear_product
+            for k in range(len(acc) - 1):
+                acc[k] -= j * acc[k + 1]
+            acc[0] += nums[j] * weight
+        return _make(acc, self.den * weight)
 
     def __eq__(self, other):
         if not isinstance(other, BinomialBasisPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(("binomial", self.coeffs))
+        return hash(("binomial", self.nums, self.den))
 
     def __repr__(self):
         return f"BinomialBasisPolynomial({list(self.coeffs)!r})"
@@ -354,11 +370,11 @@ class BinomialBasisPolynomial:
         return format_terms(self.coeffs, lambda k: "" if k == 0 else f"binom(t,{k})")
 
 
-def _forward_differences(values: Sequence[Scalar]) -> list[Scalar]:
+def _forward_differences(values: list[int]) -> list[int]:
     """[v_0, dv_0, d^2 v_0, ...] for values v_n at t = n = 0, 1, ..., d the
     forward difference: by Newton's formula, the coefficients over binom(t, j)
-    of the polynomial through them.  Integer values give integer differences."""
-    diffs = list(values)
+    of the polynomial through them.  Works in place on the fresh list."""
+    diffs = values
     for j in range(1, len(diffs)):
         # diffs[i] = d^(j-1) v_(i-j+1) becomes d^j v_(i-j), for i >= j
         for i in range(len(diffs) - 1, j - 1, -1):
@@ -368,15 +384,25 @@ def _forward_differences(values: Sequence[Scalar]) -> list[Scalar]:
 
 def to_binomial_basis(p: ExactPolynomial) -> BinomialBasisPolynomial:
     """Expand p over binom(t, j): the forward differences of its values at
-    t = 0..deg p.  Exact, and inverse to BinomialBasisPolynomial.to_monomial."""
-    return BinomialBasisPolynomial(_forward_differences([p(n) for n in range(p.degree + 1)]))
+    t = 0..deg p, taken on the numerators (integer Horner) over p.den.
+    Exact, and inverse to BinomialBasisPolynomial.to_monomial."""
+    nums = p.nums
+    values = []
+    for n in range(len(nums)):
+        value = 0
+        for c in reversed(nums):
+            value = value * n + c
+        values.append(value)
+    return _make(_forward_differences(values), p.den, BinomialBasisPolynomial)
 
 
 def lagrange_interpolate(values: Sequence[Scalar]) -> ExactPolynomial:
     """The unique polynomial of degree < len(values) that takes values[n] at
     t = n for n = 0, 1, ...: the inverse of reading p off at t = 0..deg p,
-    through the same forward differences as to_binomial_basis."""
-    return BinomialBasisPolynomial(_forward_differences(values)).to_monomial()
+    through the same forward differences as to_binomial_basis, taken on the
+    values' numerators over their common denominator."""
+    nums, den = _common_denominator(values)
+    return _make(_forward_differences(nums), den, BinomialBasisPolynomial).to_monomial()
 
 
 # --- Truncated multivariate power series ------------------------------------

@@ -92,11 +92,6 @@ def test_a_failing_sweep_reports_the_first_partition_of_least_slack(monkeypatch)
     assert (report.min_slack, report.argmin) == (-1, (9,))
 
 
-@given(mu=partition_strategy(max_n=12))
-def test_amgm_check_passes_everywhere(mu):
-    assert bd.amgm_check(mu)
-
-
 def row_peel_factors(mu):
     """The factors 1 + (c_i - 1)/i, i = 1..d, where d is the first-row
     length and c_i the length of column d - i + 1 (columns counted from the

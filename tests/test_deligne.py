@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repst import deligne as dl, partitions as pt, snoracle as sn
 from repst.exact import (
+    BinomialBasisPolynomial,
     ExactPolynomial,
     NonDivisibleError,
     NotIntegerValuedError,
@@ -342,6 +343,19 @@ def test_certificate_known_values():
     with pytest.raises(NotIntegerValuedError) as err:
         dl.certify_integer_valued(T.scale(Fraction(1, 2)))
     assert err.value.index == 1 and err.value.value == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("coeffs, index, value", [
+    ((0, Fraction(1, 2), 0, Fraction(1, 3)), 1, Fraction(1, 2)),
+    ((0, 1, 0, Fraction(1, 3)), 3, Fraction(1, 3)),
+], ids=["two-fractional", "top-fractional"])
+def test_certificate_names_the_first_fractional_coefficient(coeffs, index, value):
+    # sum_j c_j binom(t, j): the error names the lowest j with c_j not an
+    # integer, which neither a scan from the top nor a look at c_0 finds
+    p = BinomialBasisPolynomial(coeffs).to_monomial()
+    with pytest.raises(NotIntegerValuedError) as err:
+        dl.certify_integer_valued(p)
+    assert (err.value.index, err.value.value) == (index, value)
 
 
 def test_division_guard_fires_on_corrupted_numerator():

@@ -203,12 +203,36 @@ def ref_eval(a, x):
 
 
 def assert_canonical(p):
+    """The one storage of ExactPolynomial and BinomialBasisPolynomial."""
     assert all(type(n) is int for n in p.nums) and type(p.den) is int
     assert p.den > 0
     assert not p.nums or p.nums[-1] != 0
     assert gcd(p.den, *p.nums) == 1
     assert p.nums or p.den == 1
     assert all(type(c) is Fraction for c in p.coeffs)
+
+
+@given(p=polynomials, ints=st.lists(st.integers(-9, 9), max_size=8), half=st.integers(0, 7))
+def test_binomial_basis_is_stored_in_canonical_form(p, ints, half):
+    # integer-valued (though its t^k coefficients need not be integers), and
+    # one binom(t, half) / 2 off it
+    integral = BinomialBasisPolynomial(ints).to_monomial()
+    off_at_half = integral + binomial_poly(0, half).scale(Fraction(1, 2))
+    for q in (p, p.scale(p.den), integral, off_at_half):
+        b = to_binomial_basis(q)
+        assert type(b) is BinomialBasisPolynomial
+        assert_canonical(b)
+        values = [q(n) for n in range(q.degree + 1)]
+        for same in (BinomialBasisPolynomial(b.coeffs), BinomialBasisPolynomial(b.coeffs + (0, 0)),
+                     to_binomial_basis(b.to_monomial()), to_binomial_basis(lagrange_interpolate(values))):
+            assert_canonical(same)
+            assert same == b and hash(same) == hash(b)
+            assert (same.nums, same.den) == (b.nums, b.den)
+        assert (b.den == 1) == all(v.denominator == 1 for v in values)
+    assert to_binomial_basis(integral).den == 1
+    assert to_binomial_basis(off_at_half).den == 2
+    for zero in (to_binomial_basis(ZERO), BinomialBasisPolynomial((0, 0))):
+        assert (zero.nums, zero.den) == ((), 1)
 
 
 @given(a=coefficient_lists, b=coefficient_lists, c=fractions, x=fractions,
