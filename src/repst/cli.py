@@ -331,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=None, help="cap on |lambda|")
     p.add_argument("--max-n", type=int, default=None, help="largest n of the bounds sweep (bounds only)")
     p.add_argument("--max-m", type=int, default=None, help="cap on moved points / coefficient index")
-    p.add_argument("--deg", type=int, default=None, help="series truncation degree")
+    p.add_argument("--deg", type=int, default=None,
+                   help="series truncation degree of the graded decomposition and the integer "
+                        "specializations (graded only); its binomial family checks the "
+                        "coefficients of x^0..x^10 of (1+x)^t as a fixed set")
 
     return parser
 

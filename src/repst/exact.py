@@ -2,9 +2,10 @@
 multivariate power series whose coefficients are such polynomials.
 
 Every coefficient is an exact rational (`int` or `fractions.Fraction`); no
-floating point appears anywhere.  All identities verified elsewhere in the
-package are therefore exact statements about rational numbers, and a
-mismatch is a bug, never roundoff.
+floating point appears anywhere.  `ratio` alone decides what such a scalar
+is, and `_as_poly` alone lifts one into a constant polynomial.  All
+identities verified elsewhere in the package are therefore exact
+statements about rational numbers, and a mismatch is a bug, never roundoff.
 
 Representations:
 
@@ -104,11 +105,13 @@ class ExactPolynomial(_CommonDenominator):
         return Fraction(acc, self.den * qk)
 
     def _coerce(self, other) -> "ExactPolynomial":
+        """other itself (inline, the common case), the lift of a scalar, or NotImplemented."""
         if isinstance(other, ExactPolynomial):
             return other
-        if isinstance(other, (int, Fraction)):
-            return _make([other.numerator], other.denominator)
-        return NotImplemented  # type: ignore[return-value]
+        try:
+            return _as_poly(other)
+        except TypeError:
+            return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -167,11 +170,9 @@ class ExactPolynomial(_CommonDenominator):
     def __pow__(self, n: int):
         return _power(self, n, ONE, "polynomial")
 
-    def exact_div(self, other: "ExactPolynomial") -> "ExactPolynomial":
+    def exact_div(self, other: "ExactPolynomial | Scalar") -> "ExactPolynomial":
         """Divide exactly, raising NonDivisibleError on a nonzero remainder."""
-        divisor = self._coerce(other)
-        if divisor is NotImplemented:
-            raise TypeError(f"cannot divide a polynomial by {type(other).__name__}")
+        divisor = _as_poly(other)
         b, db = divisor.nums, divisor.den
         if not b:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -254,6 +255,14 @@ def ratio(c: Scalar) -> tuple[int, int]:
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"expected int or Fraction, not {type(c).__name__}")
     return c.numerator, c.denominator
+
+
+def _as_poly(value) -> ExactPolynomial:
+    """value itself, or the constant of a scalar that ratio accepts: the one lift."""
+    if isinstance(value, ExactPolynomial):
+        return value
+    p, q = ratio(value)
+    return _make([p], q)
 
 
 def _power(base, n: int, one, kind: str):
@@ -406,12 +415,6 @@ def lagrange_interpolate(values: Sequence[Scalar]) -> ExactPolynomial:
 
 
 # --- Truncated multivariate power series ------------------------------------
-
-
-def _as_poly(value) -> ExactPolynomial:
-    if isinstance(value, ExactPolynomial):
-        return value
-    return ExactPolynomial((value,))
 
 
 class TruncatedSeries:

@@ -139,10 +139,11 @@ def pieri_suite(*, max_size: int = 8) -> SuiteReport:
     return report
 
 
-def stirling_suite(*, max_m: int = 6) -> SuiteReport:
+def stirling_suite(*, max_m: int = 8) -> SuiteReport:
     """Filtered group-algebra Hilbert coefficients: interpolation route
     against elementary symmetric values at the 2m + 1 ranks past its nodes,
-    a proof at degree 2m; the Gamma-ratio route; row sums n!; integrality."""
+    a proof at degree 2m; the Gamma-ratio route; integrality; and the row
+    sums n! at n = 0..max_m + 1, the ranks whose rows need no m past max_m."""
     partitions.check_size_cap("max_m", max_m)
     report = SuiteReport("stirling")
     table = groupalg.elementary_symmetric_table(max_m, list(range(1, 4 * max_m + 1)))
@@ -154,7 +155,7 @@ def stirling_suite(*, max_m: int = 6) -> SuiteReport:
         report.record(gamma == poly, "gamma-route", {"m": m},
                       lambda: f"interpolation gave {poly}, Gamma expansion gave {gamma}")
         _certify(report, poly, "integrality-stirling", {"m": m})
-    for n in range(10):
+    for n in range(max_m + 2):
         total = sum(groupalg.hilbert_coefficient(m)(n) for m in range(max(n, 1)))
         report.expect("stirling-row-sum", {"n": n}, factorial(n), total)
     return report
@@ -181,9 +182,10 @@ def bounds_suite(*, max_n: int = 18) -> SuiteReport:
 
 
 def graded_suite(*, degree: int = 6) -> SuiteReport:
-    """Tensor-power Hilbert series: binomial coefficients of (1+x)^t, the
-    graded decomposition identity, the first filtration layer, and integer
-    specializations."""
+    """Tensor-power Hilbert series: the coefficients of x^0..x^10 of
+    (1+x)^t, a fixed set; the graded decomposition identity and the integer
+    specializations t = 0..degree, both truncated at degree; and the first
+    filtration layer."""
     partitions.check_size_cap("degree", degree)
     report = SuiteReport("graded")
     series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert((1, 1)), 10)
@@ -201,10 +203,10 @@ def graded_suite(*, degree: int = 6) -> SuiteReport:
         report.expect("degree-one-layer", {"v": v}, poly, truncated)
     for coeffs in ((1, 1), (1, 2, 1), (1, 0, 3)):
         h = schurweyl.UnitalHilbert(coeffs)
-        power = schurweyl.tensor_power_hilbert(h, 6)
-        base = TruncatedSeries((6,), {(k,): c for k, c in enumerate(coeffs)})
-        product = TruncatedSeries.constant((6,), 1)
-        for n in range(7):
+        power = schurweyl.tensor_power_hilbert(h, degree)
+        base = TruncatedSeries((degree,), {(k,): c for k, c in enumerate(coeffs)})
+        product = TruncatedSeries.constant((degree,), 1)
+        for n in range(degree + 1):
             report.record(power.eval_t(n) == product, "integer-specialization",
                           {"h": coeffs, "n": n}, "t = n specialization differs from the n-fold product")
             product = product * base

@@ -122,7 +122,7 @@ def test_criterion_04_catches_a_class_sum_wrong_only_past_rank_10(monkeypatch):
 
 def test_criterion_05_transposition_class_sum_is_jm():
     with criterion(5, "transposition class sum equals the content-shift eigenvalue, |lam| <= 8",
-                   budget=4.0):
+                   budget=1.0):
         for lam in pt.partitions_up_to(8):
             assert dl.central_eigenvalue_poly((1,), lam) == dl.jm_eigenvalue(lam), lam
 

@@ -486,6 +486,39 @@ def test_verify_formats_failure_text_only_for_a_failing_check(monkeypatch):
     assert verify.stirling_suite(max_m=3).passed
 
 
+@pytest.mark.parametrize("max_m", range(4))
+def test_the_stirling_suite_asks_for_no_coefficient_past_max_m(monkeypatch, max_m):
+    """The row sums n! run at n = 0..max_m + 1, whose rows need no m past
+    max_m, so the cap bounds every coefficient the suite builds."""
+    asked = {"hilbert_coefficient": set(), "hilbert_coefficient_gamma": set()}
+    for name, seen in asked.items():
+        def wrapped(m, original=getattr(groupalg, name), seen=seen):
+            seen.add(m)
+            return original(m)
+        monkeypatch.setattr(groupalg, name, wrapped)
+    report = verify.stirling_suite(max_m=max_m)
+    assert report.passed
+    assert asked == {name: set(range(max_m + 1)) for name in asked}
+
+
+@pytest.mark.parametrize("degree", [0, 2, 6])
+def test_the_graded_suite_specializes_up_to_its_degree(monkeypatch, degree):
+    """The graded decomposition and the integer specializations run to
+    --deg; the binomial family (x^0..x^10 of (1+x)^t) and the first layer
+    are fixed sets.  degree=2 runs 28 checks, the default 6 runs 40."""
+    families = Counter()
+    original = verify.SuiteReport.record
+
+    def record(self, ok, check, where, detail=""):
+        families[check] += 1
+        return original(self, ok, check, where, detail)
+    monkeypatch.setattr(verify.SuiteReport, "record", record)
+    report = verify.graded_suite(degree=degree)
+    assert report.passed and report.checks == 22 + 3 * degree
+    assert families == Counter({"binomial-series": 11, "graded-decomposition": 3,
+                                "degree-one-layer": 5, "integer-specialization": 3 * (degree + 1)})
+
+
 @pytest.mark.parametrize("max_n, amgm, scans", [(9, 96, 0), (14, 271, 5), (15, 271, 6), (18, 271, 6)])
 def test_the_bounds_suite_scans_its_window_up_to_max_n(monkeypatch, max_n, amgm, scans):
     """Each family of the bounds suite stops at max_n: the lemma scan checks

@@ -329,6 +329,31 @@ def test_polynomials_reject_non_rational_scalars(bad):
         T(bad)
 
 
+def test_a_scalar_becomes_a_polynomial_one_way(monkeypatch):
+    """Every int, bool or Fraction that meets a polynomial or a series
+    coefficient is lifted by _make from its ratio, never through the public
+    constructor and its common denominator, and anything else still fails."""
+    half, third = ExactPolynomial((Fraction(1, 2),)), ExactPolynomial((0, Fraction(1, 3)))
+
+    def refuse(scalars):
+        raise AssertionError("a scalar was lifted through the public constructor")
+    monkeypatch.setattr("repst.exact._common_denominator", refuse)
+    s = TruncatedSeries((3,), {(0,): 1, (1,): True, (2,): Fraction(1, 2), (3,): T})
+    assert s.coefficient((1,)) == ONE and s.coefficient((2,)) == half
+    assert (s * s).coefficient((2,)) == 2
+    assert s.pow_poly(3) == s ** 3
+    assert s.eval_t(Fraction(1, 2)).coefficient((3,)) == half
+    assert (T + 1).nums == (1, 1) and T * Fraction(1, 3) == third
+    assert T.exact_div(2) == T.scale(Fraction(1, 2)) and ONE == 1 and (ONE == "1") is False
+    for bad in (0.5, "1", None, 1j):
+        with pytest.raises(TypeError):
+            TruncatedSeries((1,), {(0,): bad})
+        with pytest.raises(TypeError):
+            s.pow_poly(bad)
+        with pytest.raises(TypeError):
+            T.exact_div(bad)
+
+
 @pytest.mark.parametrize("call", [
     lambda: lagrange_interpolate([0.1]),
     lambda: BinomialBasisPolynomial(["1/2"]),
