@@ -11,10 +11,11 @@ Two independent routes are provided:
   hilbert_coefficient        the values e_m(1,...,n-1) at n = 0..2m,
                              turned into the polynomial by their forward
                              differences (exact.lagrange_interpolate)
-  hilbert_coefficient_gamma  term extraction from exp of the asymptotic
+  hilbert_coefficient_gamma  the coefficients of exp of the asymptotic
                              log-Gamma difference series, whose coefficients
-                             are Bernoulli polynomials; exp runs Miller's
-                             recurrence, O(m^2) coefficient products
+                             are Bernoulli polynomials, by Miller's
+                             recurrence over the cached lower coefficients:
+                             a new m costs O(m) coefficient products
 
 Their agreement is the acceptance contract for the second route.
 """
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exact import ExactPolynomial, TruncatedSeries, lagrange_interpolate
+from .exact import ExactPolynomial, ONE, ZERO, lagrange_interpolate
 from .partitions import check_size_cap
 
 
@@ -72,6 +73,14 @@ def bernoulli_poly(k: int) -> ExactPolynomial:
 
 
 @lru_cache(maxsize=None)
+def log_coefficient(k: int) -> ExactPolynomial:
+    """x^k-coefficient of log h, the log-Gamma difference series below:
+    (-1)^{k+1} (B_{k+1}(t) - B_{k+1}) / (k (k+1)) for k >= 1."""
+    poly = bernoulli_poly(k + 1) - bernoulli_number(k + 1)
+    return poly.scale(Fraction((-1) ** (k + 1), k * (k + 1)))
+
+
+@lru_cache(maxsize=None)
 def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
     """The same coefficient extracted from the ratio-of-Gamma form.
 
@@ -81,15 +90,22 @@ def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
 
         log h = sum_{k>=1} (-1)^{k+1} (B_{k+1}(t) - B_{k+1}) / (k (k+1)) x^k
 
-    with B Bernoulli polynomials/numbers; exponentiating and truncating at
-    degree m gives the coefficient exactly.  TruncatedSeries.exp builds
-    h = exp(log h) one coefficient at a time by Miller's recurrence,
-    m h_m = sum_{j=1}^{m} j (log h)_j h_{m-j}, with no full series product.
+    with B Bernoulli polynomials/numbers (log_coefficient).  Exponentiating
+    gives the coefficient exactly, by J.C.P. Miller's recurrence (Knuth,
+    TAOCP vol. 2, 4.7), the one TruncatedSeries.exp runs:
+
+        h_0 = 1,   m h_m = sum_{j=1}^{m} j (log h)_j h_{m-j}.
+
+    The lower h_j come from this function's cache, asked for in increasing
+    order first, so each is computed once and the recursion never nests
+    more than three frames deep, whatever m.
     """
     check_size_cap("m", m)
-    log_terms = {}
-    for k in range(1, m + 1):
-        poly = bernoulli_poly(k + 1) - bernoulli_number(k + 1)
-        log_terms[(k,)] = poly.scale(Fraction((-1) ** (k + 1), k * (k + 1)))
-    log_series = TruncatedSeries((m,), log_terms)
-    return log_series.exp().coefficient((m,))
+    if not m:
+        return ONE
+    for j in range(1, m):
+        hilbert_coefficient_gamma(j)
+    total = ZERO
+    for j in range(1, m + 1):
+        total = total + (log_coefficient(j) * hilbert_coefficient_gamma(m - j)).scale(j)
+    return total.scale(Fraction(1, m))

@@ -16,7 +16,7 @@ from itertools import product
 from math import comb
 
 from . import deligne
-from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries
+from .exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries, ZERO
 from .partitions import (InvariantError, Partition, cells, check_floor, check_size_cap,
                          format_partition, hook_product, partitions_of)
 
@@ -97,7 +97,7 @@ def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
     sym = symmetric_algebra_hilbert(d, degree)
     layers = {}
     for size in range(degree + 1):
-        total = ExactPolynomial()
+        total = ZERO
         for lam in partitions_of(size):
             s = schur_dimension(lam, d)
             if s:

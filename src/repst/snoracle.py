@@ -4,13 +4,16 @@ Dimensions, Murnaghan-Nakayama characters, conjugacy-class sizes and
 central eigenvalues for honest S_n.  The first two work on beta-numbers: a
 border strip lowers one beta-number, and the character recursion ends in
 Frobenius's dimension formula (Macdonald, Symmetric Functions and Hall
-Polynomials, I.1, I.7).  This module is the ground truth that the rank
-interpolations elsewhere are checked against, so it must not import from
-them, and only the checks in verify import it; everything here is textbook
-S_n combinatorics.  Its dimension formula shares no code with
-partitions.hook_product, which the interpolated dimensions divide by.  The
-cycle-type format it reads, and the list of cycle types, are defined in
-partitions.
+Polynomials, I.1, I.7).  The recursion's memo is the module's one cache: a
+dimension is its case with no cycles left, and a central eigenvalue reads
+both its character and its dimension there, so each diagram's dimension is
+computed once per cache lifetime, whoever asks.  This module is the ground
+truth that the rank interpolations elsewhere are checked against, so it
+must not import from them, and only the checks in verify import it;
+everything here is textbook S_n combinatorics.  Its dimension formula
+shares no code with partitions.hook_product, which the interpolated
+dimensions divide by.  The cycle-type format it reads, and the list of
+cycle types, are defined in partitions.
 """
 
 from __future__ import annotations
@@ -60,12 +63,16 @@ def _dimension(beta: tuple[int, ...]) -> int:
 
 def hook_dim(mu: Partition) -> int:
     """Dimension of the irreducible S_{|mu|}-representation, by Frobenius's
-    formula on its beta-numbers, independently of partitions.hook_product."""
-    return _dimension(_beta(mu))
+    formula on its beta-numbers, independently of partitions.hook_product:
+    the character at the identity, read from the recursion's memo."""
+    return _mn_recurse(_beta(mu), ())
 
 
 @lru_cache(maxsize=None)
 def _mn_recurse(beta: tuple[int, ...], lengths: tuple[int, ...]) -> int:
+    """The character on beta-numbers at the class with the given cycle
+    lengths; the oracle's one memo, whose empty-cycle entries are the
+    dimensions."""
     if not lengths:
         # all remaining cycles are fixed points; the character of the
         # identity is the dimension
@@ -124,5 +131,9 @@ def central_eigenvalue(n: int, rho: CycleType, mu: Partition) -> Fraction:
     of S_n: |class| * character / dimension."""
     if sum(mu) != n:
         raise SizeMismatchError(f"|{format_partition(mu)}| != n={n}")
-    return Fraction(class_size(n, rho) * character(mu, rho), hook_dim(mu))
+    rho = check_cycle_type(rho)
+    beta = _beta(mu)
+    # class_size raises if the cycles move more than n points
+    return Fraction(class_size(n, rho) * _mn_recurse(beta, cycle_lengths(rho)),
+                    _mn_recurse(beta, ()))
 

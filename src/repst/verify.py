@@ -18,7 +18,7 @@ from math import factorial
 from time import perf_counter
 
 from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
-from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, binomial_poly
+from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, ZERO, binomial_poly
 from .partitions import cycle_types_with_support_up_to, format_partition, partitions_up_to, validity_start
 
 
@@ -125,7 +125,7 @@ def pieri_suite(*, max_size: int = 8) -> SuiteReport:
     decomps = {lam: deligne.pieri(lam) for lam in partitions_up_to(max_size)}
     for lam, decomp in decomps.items():
         lhs = (T - 1) * deligne.dimension_poly(lam)
-        rhs = ExactPolynomial()
+        rhs = ZERO
         for mu, mult in decomp.items():
             rhs = rhs + deligne.dimension_poly(mu).scale(mult)
         report.expect("pieri-dimension", {"lambda": lam}, lhs, rhs)

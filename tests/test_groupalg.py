@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repst import groupalg as ga
 from repst.deligne import certify_integer_valued
-from repst.exact import T, ZERO, binomial_poly
+from repst.exact import T, TruncatedSeries, ZERO, binomial_poly
 
 
 def e_m_of_initial_integers(m, n):
@@ -71,6 +72,37 @@ def test_hilbert_coefficient_interpolates_beyond_nodes(m, n):
 @pytest.mark.parametrize("m", range(17))
 def test_gamma_route_agrees(m):
     assert ga.hilbert_coefficient_gamma(m) == ga.hilbert_coefficient(m)
+
+
+@pytest.mark.parametrize("m", range(17))
+def test_gamma_route_is_the_coefficient_of_exp_of_the_log_gamma_series(m):
+    # TruncatedSeries.exp runs the same recurrence over the whole series at
+    # once; the log terms are written out here, not read from log_coefficient
+    log_terms = {(k,): (ga.bernoulli_poly(k + 1) - ga.bernoulli_number(k + 1))
+                 .scale(Fraction((-1) ** (k + 1), k * (k + 1))) for k in range(1, m + 1)}
+    expected = TruncatedSeries((m,), log_terms).exp().coefficient((m,))
+    assert ga.hilbert_coefficient_gamma(m) == expected
+
+
+def test_a_cold_gamma_coefficient_nests_at_most_three_frames(monkeypatch):
+    # every cache miss checks its m first, so the check sees each frame's depth
+    code = ga.hilbert_coefficient_gamma.__wrapped__.__code__
+    depths = []
+    check = ga.check_size_cap
+
+    def check_and_count(name, value, *least):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            depth += frame.f_code is code
+            frame = frame.f_back
+        depths.append(depth)
+        check(name, value, *least)
+
+    expected = ga.hilbert_coefficient(40)
+    ga.hilbert_coefficient_gamma.cache_clear()
+    monkeypatch.setattr(ga, "check_size_cap", check_and_count)
+    assert ga.hilbert_coefficient_gamma(40) == expected
+    assert len(depths) == 41 and max(depths) <= 3
 
 
 @given(n=st.integers(0, 9))

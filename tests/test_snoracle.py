@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from repst import partitions as pt, snoracle as sn
+from repst import partitions as pt, snoracle as sn, verify
 from conftest import cycle_type_strategy, partition_strategy
 
 
@@ -36,16 +36,49 @@ def test_hook_dim_is_conjugation_invariant_for_every_partition_through_16():
 
 
 def test_hook_dim_non_dividing_hook_product_is_a_typed_error(monkeypatch):
-    # every factorial becomes 7: 7 * (3 - 1) is not divisible by 7 * 7
+    # every factorial becomes 7: 7 * (3 - 1) is not divisible by 7 * 7.
+    # hook_dim reads the character recursion's memo, which an earlier test
+    # may have filled with (2, 1), so the patched formula runs on a cleared
+    # memo, and no patched value outlives the test
+    sn._mn_recurse.cache_clear()
     monkeypatch.setattr(sn, "factorial", lambda k: 7)
-    with pytest.raises(pt.InvariantError, match="do not divide 3!"):
-        sn.hook_dim((2, 1))
+    try:
+        with pytest.raises(pt.InvariantError, match="do not divide 3!"):
+            sn.hook_dim((2, 1))
+    finally:
+        sn._mn_recurse.cache_clear()
 
 
 def test_hook_dim_frobenius_formula_agrees_with_the_hook_length_formula():
     for n in range(21):
         for mu in pt.partitions_of(n):
             assert factorial(n) // pt.hook_product(mu) == sn.hook_dim(mu)
+
+
+def test_the_oracle_suite_computes_each_dimension_once(monkeypatch):
+    # hook_dim, character and central_eigenvalue share the memo of the
+    # character recursion, whose leaves are the dimensions: over the oracle
+    # suite's dim, jm, character and eigenvalue checks, Frobenius's formula
+    # runs once per beta-set, whoever asks
+    betas, eigenvalues = [], []
+    dimension, central_eigenvalue = sn._dimension, sn.central_eigenvalue
+
+    def count_dimension(beta):
+        betas.append(beta)
+        return dimension(beta)
+
+    def record_eigenvalue(n, rho, mu):
+        eigenvalues.append((n, rho, mu, central_eigenvalue(n, rho, mu)))
+        return eigenvalues[-1][-1]
+
+    monkeypatch.setattr(sn, "_dimension", count_dimension)
+    monkeypatch.setattr(sn, "central_eigenvalue", record_eigenvalue)
+    sn._mn_recurse.cache_clear()
+    assert verify.oracle_suite().passed
+    assert betas and len(betas) == len(set(betas))
+    assert eigenvalues
+    for n, rho, mu, value in eigenvalues:
+        assert value == Fraction(sn.class_size(n, rho) * sn.character(mu, rho), sn.hook_dim(mu))
 
 
 def test_class_size_non_dividing_centralizer_is_a_typed_error(monkeypatch):
