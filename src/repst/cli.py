@@ -150,8 +150,8 @@ def cmd_class_size(args) -> Output:
 def cmd_hilbert(args) -> Output:
     from . import schurweyl
     coefficients = parse_counts(args.h)
-    series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert(coefficients), args.deg)
-    rows = [(k, series.coefficient((k,))) for k in range(args.deg + 1)]
+    power = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert(coefficients), args.deg)
+    rows = list(enumerate(power))
     h = ",".join(map(str, coefficients))
     return ({"h": h, "deg": args.deg,
              "coefficients": {str(k): poly_to_json(p) for k, p in rows}},

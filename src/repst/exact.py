@@ -18,7 +18,9 @@ Representations:
                            certifies an integer-valued polynomial
   TruncatedSeries          sparse dict mapping exponent tuples to nonzero
                            ExactPolynomial, truncated per variable; the
-                           operands of one operation share their bounds
+                           operands of one operation share their bounds;
+                           it serves the Frobenius kernel and
+                           schurweyl.tensor_power_hilbert only
 
 Newton's forward-difference formula links the values at t = 0..N and the
 binom(t, j) coefficients.  Both directions run in ints over one

@@ -4,9 +4,10 @@ For a nonnegatively graded space V with one-dimensional degree-0 part, the
 Hilbert series of the t-th tensor power is h(x)^t with polynomial-in-t
 coefficients, and the associated graded object factors through symmetric
 powers and Schur functors of V/<marked vector>.  This module computes those
-series, the finite-dimensional bookkeeping identities they satisfy, and the
-integrality constraints on the rank t at which the associated
-highest-weight module can degenerate.
+series, as tuples of their x^k coefficients, the finite-dimensional
+bookkeeping identities they satisfy, and the integrality constraints on the
+rank t at which the associated highest-weight module can degenerate.  Only
+tensor_power_hilbert builds a TruncatedSeries, for the one pow_poly.
 """
 
 from __future__ import annotations
@@ -40,20 +41,13 @@ class UnitalHilbert:
         return cls((1, bar_dim))
 
 
-def tensor_power_hilbert(h: UnitalHilbert, degree: int) -> TruncatedSeries:
-    """h(x)^t, truncated at the given degree; at t = n this is the n-fold
-    product of h with itself."""
+def tensor_power_hilbert(h: UnitalHilbert, degree: int) -> tuple[ExactPolynomial, ...]:
+    """The coefficients of x^0..x^degree in h(x)^t, trailing zeros included;
+    at t = n they are those of the n-fold product of h with itself."""
     check_size_cap("degree", degree)
     base = TruncatedSeries((degree,), {(k,): c for k, c in enumerate(h.coefficients)})
-    return base.pow_poly(T)
-
-
-def symmetric_algebra_hilbert(d: int, degree: int) -> TruncatedSeries:
-    """(1 - x)^{-d}, the Hilbert series of a polynomial ring in d variables,
-    truncated at the given degree: x^j has coefficient binom(d + j - 1, j),
-    which is 1 at j = 0 and, when d = 0, zero at every j > 0."""
-    return TruncatedSeries((degree,), {(j,): comb(d + j - 1, j) if j else 1
-                                       for j in range(degree + 1)})
+    power = base.pow_poly(T)
+    return tuple(power.coefficient((k,)) for k in range(degree + 1))
 
 
 def schur_dimension(lam: Partition, d: int) -> int:
@@ -91,21 +85,22 @@ def graded_decomposition_check(d: int, degree: int) -> GradedCheckReport:
 
     The left side is the Hilbert series of the t-th tensor power of an
     ungraded (d+1)-dimensional space; the right side is the series of its
-    associated graded, summed over the Schur-functor decomposition.
+    associated graded, summed over the Schur-functor decomposition.  The
+    x^j coefficient of (1 - x)^{-d} is binom(d + j - 1, j), and 1 at j = 0
+    for every d, where math.comb(-1, 0) would raise.
     """
     lhs = tensor_power_hilbert(UnitalHilbert.ungraded(d), degree)
-    sym = symmetric_algebra_hilbert(d, degree)
-    layers = {}
+    sym = [comb(d + j - 1, j) if j else 1 for j in range(degree + 1)]
+    layers = []
     for size in range(degree + 1):
         total = ZERO
         for lam in partitions_of(size):
             s = schur_dimension(lam, d)
             if s:
                 total = total + deligne.dimension_poly(lam).scale(s)
-        layers[(size,)] = total
-    rhs = sym * TruncatedSeries((degree,), layers)
-    first_failure = next((k for k in range(degree + 1)
-                          if lhs.coefficient((k,)) != rhs.coefficient((k,))), None)
+        layers.append(total)
+    rhs = (sum((layers[k - j].scale(sym[j]) for j in range(k + 1)), ZERO) for k in range(degree + 1))
+    first_failure = next((k for k, (left, right) in enumerate(zip(lhs, rhs)) if left != right), None)
     return GradedCheckReport(first_failure)
 
 

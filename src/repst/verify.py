@@ -18,7 +18,7 @@ from math import factorial
 from time import perf_counter
 
 from . import bounds, deligne, groupalg, partitions, schurweyl, snoracle
-from .exact import ExactPolynomial, NotIntegerValuedError, T, TruncatedSeries, ZERO, binomial_poly
+from .exact import ExactPolynomial, NotIntegerValuedError, T, ZERO, binomial_poly
 from .partitions import cycle_types_with_support_up_to, format_partition, partitions_up_to, validity_start
 
 
@@ -184,13 +184,14 @@ def bounds_suite(*, max_n: int = 18) -> SuiteReport:
 def graded_suite(*, degree: int = 6) -> SuiteReport:
     """Tensor-power Hilbert series: the coefficients of x^0..x^10 of
     (1+x)^t, a fixed set; the graded decomposition identity and the integer
-    specializations t = 0..degree, both truncated at degree; and the first
-    filtration layer."""
+    specializations, both truncated at degree; and the first filtration
+    layer.  The specializations run at t = 0..max(degree, the largest
+    coefficient degree), a proof, as x^k of h(x)^t has degree <= k in t."""
     partitions.check_size_cap("degree", degree)
     report = SuiteReport("graded")
     series = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert((1, 1)), 10)
-    for k in range(11):
-        report.expect("binomial-series", {"k": k}, binomial_poly(0, k), series.coefficient((k,)))
+    for k, coefficient in enumerate(series):
+        report.expect("binomial-series", {"k": k}, binomial_poly(0, k), coefficient)
     for d in (1, 2, 3):
         outcome = schurweyl.graded_decomposition_check(d, degree)
         report.record(outcome.passed, "graded-decomposition",
@@ -198,18 +199,16 @@ def graded_suite(*, degree: int = 6) -> SuiteReport:
                       lambda: f"first failing degree {outcome.first_failure}")
     for v in range(1, 6):
         poly = schurweyl.degree_one_dimension(v)
-        h = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert.ungraded(v - 1), 1)
-        truncated = h.coefficient((0,)) + h.coefficient((1,))
-        report.expect("degree-one-layer", {"v": v}, poly, truncated)
+        h0, h1 = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert.ungraded(v - 1), 1)
+        report.expect("degree-one-layer", {"v": v}, poly, h0 + h1)
     for coeffs in ((1, 1), (1, 2, 1), (1, 0, 3)):
-        h = schurweyl.UnitalHilbert(coeffs)
-        power = schurweyl.tensor_power_hilbert(h, degree)
-        base = TruncatedSeries((degree,), {(k,): c for k, c in enumerate(coeffs)})
-        product = TruncatedSeries.constant((degree,), 1)
-        for n in range(degree + 1):
-            report.record(power.eval_t(n) == product, "integer-specialization",
+        power = schurweyl.tensor_power_hilbert(schurweyl.UnitalHilbert(coeffs), degree)
+        product = [1] + [0] * degree  # h^n truncated at degree, in ints
+        for n in range(max(degree, *(c.degree for c in power)) + 1):
+            report.record([c(n) for c in power] == product, "integer-specialization",
                           {"h": coeffs, "n": n}, "t = n specialization differs from the n-fold product")
-            product = product * base
+            product = [sum(product[k - i] * c for i, c in enumerate(coeffs[:k + 1]))
+                       for k in range(degree + 1)]
     return report
 
 

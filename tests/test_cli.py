@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repst import bounds, cli, deligne, groupalg, partitions, schurweyl, snoracle, verify
-from repst.exact import ExactPolynomial, NonDivisibleError, NotIntegerValuedError, OutOfBoundsError, T
+from repst.exact import ExactPolynomial, NonDivisibleError, NotIntegerValuedError, OutOfBoundsError, T, binomial_poly
 from repst.partitions import format_partition, parse_partition, partitions_up_to
 from conftest import poly_from_json
 
@@ -100,9 +100,17 @@ def test_hilbert_table(capsys):
     code, out, _ = run_cli(capsys, "hilbert", "--h", "1,1", "--deg", "3", "--json")
     assert code == 0
     data = json.loads(out)
-    from repst.exact import binomial_poly
     for k in range(4):
         assert poly_from_json(data["coefficients"][str(k)]) == binomial_poly(0, k)
+
+
+def test_hilbert_table_keeps_its_trailing_zero_rows(capsys):
+    # h = 1 gives h(x)^t = 1: every row past x^0 is zero and still listed
+    code, out, _ = run_cli(capsys, "hilbert", "--h", "1", "--deg", "3", "--json")
+    assert code == 0
+    rows = json.loads(out)["coefficients"]
+    assert list(rows) == ["0", "1", "2", "3"]
+    assert [poly_from_json(rows[k]) for k in rows] == [1, 0, 0, 0]
 
 
 def test_verma_command(capsys):
@@ -517,6 +525,23 @@ def test_the_graded_suite_specializes_up_to_its_degree(monkeypatch, degree):
     assert report.passed and report.checks == 22 + 3 * degree
     assert families == Counter({"binomial-series": 11, "graded-decomposition": 3,
                                 "degree-one-layer": 5, "integer-specialization": 3 * (degree + 1)})
+
+
+@pytest.mark.parametrize("degree", [2, 3, 6])
+def test_the_integer_specializations_prove_their_coefficients(monkeypatch, degree):
+    """A term binom(t, degree + 1) vanishes at t = 0..degree, so only a rank
+    past degree, up to the largest coefficient degree, catches it."""
+    original = schurweyl.tensor_power_hilbert
+
+    def broken(h, deg):
+        power = original(h, deg)
+        if h.coefficients != (1, 2, 1):
+            return power
+        return power[:2] + (power[2] + binomial_poly(0, deg + 1),) + power[3:]
+    monkeypatch.setattr(schurweyl, "tensor_power_hilbert", broken)
+    report = verify.graded_suite(degree=degree)
+    assert [(f.check, f.where) for f in report.failures] == [
+        ("integer-specialization", {"h": (1, 2, 1), "n": degree + 1})]
 
 
 @pytest.mark.parametrize("max_n, amgm, scans", [(9, 96, 0), (14, 271, 5), (15, 271, 6), (18, 271, 6)])

@@ -536,6 +536,18 @@ def test_pow_poly_binomial_series():
         assert power.coefficient((k,)) == binomial_poly(0, k)
 
 
+@pytest.mark.parametrize("d, coeffs", [
+    (0, [1] + [0] * 12),
+    (1, [1] * 13),
+    (2, list(range(1, 14))),
+    (3, [1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, 78, 91]),
+])
+def test_pow_poly_at_a_negative_constant_exponent(d, coeffs):
+    # (1 - x)^{-d}, the Hilbert series of a polynomial ring in d variables
+    power = TruncatedSeries((12,), {(0,): 1, (1,): -1}).pow_poly(ExactPolynomial((-d,)))
+    assert [power.coefficient((j,)) for j in range(13)] == coeffs
+
+
 def test_pow_poly_with_a_coefficient_in_t_specializes_to_the_power():
     h = TruncatedSeries((2, 1), {(0, 0): 1, (1, 0): 1, (0, 1): T})
     power = h.pow_poly(T)

@@ -2,6 +2,7 @@
 import statements in the source, so an import inside a function counts as well.  Invariants are
 checked with typed exceptions, never with assert, which python -O strips.
 Only the CLI writes JSON, and no module imports another's private name.
+Only the Frobenius kernel and the tensor powers name the series type.
 Every name the benchmark traces or reads a cache from still exists."""
 
 import ast
@@ -98,6 +99,30 @@ def test_no_module_imports_another_modules_private_name():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules and node.attr.startswith("_")]
     assert found == []
+
+
+def _named_identifiers(path: Path) -> set[str]:
+    """Every identifier the module's code names: variables, attributes,
+    imported names and definitions; strings and comments do not count."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_the_frobenius_kernel_and_tensor_powers_name_the_series_type():
+    """TruncatedSeries serves deligne's power block and schurweyl's
+    tensor_power_hilbert; every other caller reads coefficient tuples."""
+    users = [path.stem for path in sorted(SOURCE.glob("*.py"))
+             if "TruncatedSeries" in _named_identifiers(path)]
+    assert users == ["deligne", "exact", "schurweyl"]
 
 
 def _benchmark_layers():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repst import schurweyl as sw, snoracle as sn, partitions as pt
-from repst.exact import BadConstantTermError, ExactPolynomial, T, TruncatedSeries, binomial_poly
+from repst.exact import BadConstantTermError, ONE, T, TruncatedSeries, ZERO, binomial_poly
 from conftest import partition_strategy
 
 
@@ -26,14 +26,20 @@ def test_unital_hilbert_validation():
 def test_tensor_power_hilbert_binomial_case():
     series = sw.tensor_power_hilbert(sw.UnitalHilbert((1, 1)), 10)
     for k in range(11):
-        assert series.coefficient((k,)) == binomial_poly(0, k)
+        assert series[k] == binomial_poly(0, k)
 
 
 def test_tensor_power_hilbert_known_expansion():
     series = sw.tensor_power_hilbert(sw.UnitalHilbert((1, 2)), 2)
-    assert series.coefficient((0,)) == 1
-    assert series.coefficient((1,)) == T.scale(2)
-    assert series.coefficient((2,)) == (T * (T - 1)).scale(2)
+    assert series[0] == 1
+    assert series[1] == T.scale(2)
+    assert series[2] == (T * (T - 1)).scale(2)
+
+
+def test_tensor_power_hilbert_lists_every_coefficient_to_its_degree():
+    # trailing zero coefficients stay, so the tuple has degree + 1 entries
+    assert sw.tensor_power_hilbert(sw.UnitalHilbert((1,)), 3) == (ONE, ZERO, ZERO, ZERO)
+    assert sw.tensor_power_hilbert(sw.UnitalHilbert((1, 1)), 0) == (ONE,)
 
 
 @given(
@@ -47,7 +53,7 @@ def test_tensor_power_specializes_to_product(coeffs, n):
     product = TruncatedSeries.constant((5,), 1)
     for _ in range(n):
         product = product * base
-    assert series.eval_t(n) == product
+    assert [c(n) for c in series] == [product.coefficient((k,)) for k in range(6)]
 
 
 def test_schur_dimension_known_values():
@@ -79,20 +85,6 @@ def test_schur_dimension_row_cutoff(lam, d):
     assert dim >= 0
 
 
-def test_symmetric_algebra_hilbert_closed_form():
-    pinned = {
-        0: [1] + [0] * 12,
-        1: [1] * 13,
-        2: list(range(1, 14)),
-        3: [1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, 78, 91],
-    }
-    one_minus_x = TruncatedSeries((12,), {(0,): 1, (1,): -1})
-    for d, coeffs in pinned.items():
-        series = sw.symmetric_algebra_hilbert(d, 12)
-        assert [series.coefficient((j,)) for j in range(13)] == coeffs
-        assert series == one_minus_x.pow_poly(ExactPolynomial((-d,)))
-
-
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_graded_decomposition_passes(d):
     report = sw.graded_decomposition_check(d, 6)
@@ -120,7 +112,7 @@ def test_degree_one_dimension_known_values():
 @pytest.mark.parametrize("v", range(1, 6))
 def test_degree_one_matches_series_truncation(v):
     series = sw.tensor_power_hilbert(sw.UnitalHilbert.ungraded(v - 1), 1)
-    assert sw.degree_one_dimension(v) == series.coefficient((0,)) + series.coefficient((1,))
+    assert sw.degree_one_dimension(v) == series[0] + series[1]
 
 
 def test_verma_weight_validation():
