@@ -34,7 +34,6 @@ are read out.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, product
 from math import factorial, gcd, lcm
 from operator import add, index, le, sub
 from typing import Iterable, Mapping, Sequence, Union
@@ -436,11 +435,9 @@ class TruncatedSeries:
     factor through as it is, with no polynomial product: every coefficient
     of the u = p_1 that pow_poly multiplies by is 1.
 
-    exp runs Miller's recurrence one coefficient at a time over the whole
-    bounds box, which suits few variables; pow_poly sums the binomial series
-    sum_k binom(g, k) (h - 1)^k one full power of h - 1 at a time, which keeps
-    the sparse many-variable (1 + p_1)^(t - m) of deligne's Frobenius kernel
-    on its small support.
+    exp and pow_poly both sum a power series in u one full power of u at a
+    time (_power_sum), which keeps the sparse (1 + p_1)^(t - m) of deligne's
+    Frobenius kernel on its small support.
     """
 
     __slots__ = ("bounds", "terms")
@@ -463,10 +460,6 @@ class TruncatedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def constant(cls, bounds: Sequence[int], value) -> "TruncatedSeries":
-        return cls(bounds, {(0,) * len(bounds): value})
 
     def _index(self, exponent: Sequence[int]) -> tuple[int, ...]:
         """exponent as a key of terms; OutOfBoundsError where bounds say nothing."""
@@ -509,40 +502,18 @@ class TruncatedSeries:
         return _power(self, n, _series(self.bounds, {(0,) * len(self.bounds): ONE}), "series")
 
     def exp(self) -> "TruncatedSeries":
-        """g = exp f for a series f with zero constant term, by J.C.P. Miller's
-        recurrence (Knuth, TAOCP vol. 2, 4.7), one coefficient at a time:
-
-            g_0 = 1,   |e| g_e = sum_{a != 0} |a| f_a g_{e-a},
-
-        with |e| the total degree.  The Euler operator E = sum_i x_i d/dx_i
-        multiplies a monomial by its total degree, and it is a derivation, so
-        E g = (E f) g in any number of variables; its x^e coefficient is the
-        recurrence.  The walk covers the whole bounds box, which suits few
-        variables; its lexicographic itertools.product order reaches every
-        e - a before e.  A missing e - a is zero or has a negative exponent,
-        and contributes nothing."""
+        """exp f for a series f with constant term 0: the Taylor series
+        sum_k f^k / k!, which truncation cuts off at k = sum(bounds)."""
         if (0,) * len(self.bounds) in self.terms:
             raise BadConstantTermError("exp requires constant term 0")
-        weighted = [(a, c.scale(sum(a))) for a, c in self.terms.items()]
-        g = {(0,) * len(self.bounds): ONE}
-        for e in islice(product(*(range(b + 1) for b in self.bounds)), 1, None):
-            total = ZERO
-            for a, c in weighted:
-                prev = g.get(tuple(map(sub, e, a)))
-                if prev is not None:
-                    total = total + c * prev
-            if total.nums:
-                g[e] = total.scale(Fraction(1, sum(e)))
-        return _series(self.bounds, g)
+        return _power_sum(self, lambda c, k: c.scale(Fraction(1, k)))
 
     def pow_poly(self, exponent: ExactPolynomial) -> "TruncatedSeries":
         """h**g(t) for a series h with constant term 1 and polynomial exponent g.
 
         Expanded as the generalized binomial series
         sum_k binom(g, k) u^k with u = h - 1, which agrees with exp(g * log h)
-        as a formal identity and terminates under truncation: the sum stops at
-        the first power of u that truncation kills, u^(sum(bounds) + 1) at
-        the latest.  u^1 is u itself, never a product by one.
+        as a formal identity and terminates under truncation.
         """
         bounds = self.bounds
         if self.terms.get((0,) * len(bounds)) != ONE:
@@ -550,20 +521,8 @@ class TruncatedSeries:
         exponent = _as_poly(exponent)
         # u = h - 1: the constant term is ONE, so drop the zero exponent
         u = _series(bounds, {e: c for e, c in self.terms.items() if any(e)})
-        result = _series(bounds, {(0,) * len(bounds): ONE})
-        power, c = u, ONE  # c = binom(g, k)
-        for k in range(1, sum(bounds) + 1):
-            if k > 1:
-                power = power * u
-            if not power.terms:
-                break
-            c = (c * (exponent - (k - 1))).scale(Fraction(1, k))
-            result = result + _series(bounds, {e: x * c for e, x in power.terms.items()})
-        return result
-
-    def eval_t(self, value: Scalar) -> "TruncatedSeries":
-        """Specialize every polynomial coefficient at t = value."""
-        return _series(self.bounds, {e: _as_poly(c(value)) for e, c in self.terms.items()})
+        # c = binom(g, k)
+        return _power_sum(u, lambda c, k: (c * (exponent - (k - 1))).scale(Fraction(1, k)))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -583,6 +542,24 @@ def _series(bounds: tuple[int, ...], terms: dict) -> TruncatedSeries:
     object.__setattr__(s, "bounds", bounds)
     object.__setattr__(s, "terms", {e: c for e, c in terms.items() if c.nums})
     return s
+
+
+def _power_sum(u: TruncatedSeries, step) -> TruncatedSeries:
+    """sum_k c_k u^k for a series u with constant term 0, where c_0 = 1 and
+    c_k = step(c_(k-1), k).  The sum stops at the first power of u that
+    truncation kills, u^(sum(bounds) + 1) at the latest, and u^1 is u
+    itself, never a product by one."""
+    bounds = u.bounds
+    result = _series(bounds, {(0,) * len(bounds): ONE})
+    power, c = u, ONE
+    for k in range(1, sum(bounds) + 1):
+        if k > 1:
+            power = power * u
+        if not power.terms:
+            break
+        c = step(c, k)
+        result = result + _series(bounds, {e: x * c for e, x in power.terms.items()})
+    return result
 
 
 def _same_bounds(a: TruncatedSeries, b: TruncatedSeries) -> tuple[int, ...]:

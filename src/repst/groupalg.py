@@ -92,13 +92,15 @@ def hilbert_coefficient_gamma(m: int) -> ExactPolynomial:
 
     with B Bernoulli polynomials/numbers (log_coefficient).  Exponentiating
     gives the coefficient exactly, by J.C.P. Miller's recurrence (Knuth,
-    TAOCP vol. 2, 4.7), the one TruncatedSeries.exp runs:
+    TAOCP vol. 2, 4.7):
 
         h_0 = 1,   m h_m = sum_{j=1}^{m} j (log h)_j h_{m-j}.
 
-    The lower h_j come from this function's cache, asked for in increasing
-    order first, so each is computed once and the recursion never nests
-    more than three frames deep, whatever m.
+    Only this route runs it; the tests' reference, TruncatedSeries.exp,
+    sums the Taylor series sum_k (log h)^k / k! instead.  The lower h_j
+    come from this function's cache, asked for in increasing order first, so
+    each is computed once and the recursion never nests more than three
+    frames deep, whatever m.
     """
     check_size_cap("m", m)
     if not m:

@@ -163,7 +163,7 @@ def _interval_product(bounds):
     factors = (TruncatedSeries(bounds, {(0,) * nvars: 1,
                                         tuple(int(lo <= k <= hi) for k in range(1, nvars + 1)): -1})
                for hi in range(1, nvars + 1) for lo in range(1, hi + 1))
-    return reduce(mul, factors, TruncatedSeries.constant(bounds, 1))
+    return reduce(mul, factors, TruncatedSeries(bounds, {(0,) * nvars: 1}))
 
 
 def _padded(lam, variables):
@@ -378,4 +378,4 @@ def test_frobenius_takes_no_product_by_the_one_series(lam, rho, monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
     assert dl.frobenius_coefficient.__wrapped__(lam, rho) == expected
     assert operands
-    assert not [x for x in operands if x == TruncatedSeries.constant(x.bounds, 1)]
+    assert not [x for x in operands if x == TruncatedSeries(x.bounds, {(0,) * len(x.bounds): 1})]

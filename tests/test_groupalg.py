@@ -76,8 +76,10 @@ def test_gamma_route_agrees(m):
 
 @pytest.mark.parametrize("m", range(17))
 def test_gamma_route_is_the_coefficient_of_exp_of_the_log_gamma_series(m):
-    # TruncatedSeries.exp runs the same recurrence over the whole series at
-    # once; the log terms are written out here, not read from log_coefficient
+    # TruncatedSeries.exp sums the Taylor series sum_k L^k / k! of the whole
+    # log series, an algorithm independent of the route's Miller recurrence,
+    # which groupalg alone runs; the log terms are written out here, not read
+    # from log_coefficient
     log_terms = {(k,): (ga.bernoulli_poly(k + 1) - ga.bernoulli_number(k + 1))
                  .scale(Fraction((-1) ** (k + 1), k * (k + 1))) for k in range(1, m + 1)}
     expected = TruncatedSeries((m,), log_terms).exp().coefficient((m,))

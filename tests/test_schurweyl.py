@@ -50,7 +50,7 @@ def test_tensor_power_specializes_to_product(coeffs, n):
     h = sw.UnitalHilbert((1,) + coeffs)
     series = sw.tensor_power_hilbert(h, 5)
     base = TruncatedSeries((5,), {(k,): c for k, c in enumerate(h.coefficients)})
-    product = TruncatedSeries.constant((5,), 1)
+    product = TruncatedSeries((5,), {(0,): 1})
     for _ in range(n):
         product = product * base
     assert [c(n) for c in series] == [product.coefficient((k,)) for k in range(6)]
