@@ -16,19 +16,24 @@ _wide_hook_products, which builds the diagrams row by row from the bottom
 and shares the hooks of the lower rows between all the diagrams above them
 (the hook-length formula of Frame, Robinson and Thrall in its beta-number
 form, Fulton-Harris eq. 4.11), and read each dimension n!/H(mu) off it.
-The walk keeps only its depth-first stack, so a sweep caches no partitions.
+The walk keeps only the rows of its current branch, so a sweep caches no
+partitions.  The threshold scan cuts the walk with the peeling step
+applied again to the rows below the first, a table of exact lower bounds
+that is the one cache here, one row of rationals per n.
 Like every module but verify, this one imports nothing from the oracle,
 snoracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, floor
 from operator import itemgetter, mul
-from typing import Iterator
+from typing import Callable
 
 from .exact import ratio
 from .partitions import Partition, SizeMismatchError, check_floor, check_size_cap, conjugate, format_partition
@@ -67,9 +72,11 @@ def amgm_check(mu: Partition) -> bool:
     return peeled <= factorial(d) * col_product and d ** d * col_product <= n ** d
 
 
-def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:
-    """(mu, hook product of mu) for every mu of n with mu_1 >= len(mu), each
-    once, in no fixed order, depth first; its callers hold n to the size rule.
+def _wide_hook_products(n: int, visit: Callable[[int, int, list[int]], None], cut: int | None = None) -> None:
+    """Call visit(hooks, top, rows) for every mu of n with mu_1 >= len(mu),
+    each once, in no fixed order, depth first, where mu = (top,
+    *reversed(rows)) and hooks is its hook product; rows is the walk's own
+    list, valid only during the call.  Its callers hold n to the size rule.
 
     The rows are chosen bottom-up, each at least as long as the row below.
     The k-th row from the bottom (0-based) has beta-number row + k whatever
@@ -78,31 +85,73 @@ def _wide_hook_products(n: int) -> Iterator[tuple[Partition, int]]:
     multiplies the hook product by that row's hooks, the exact integer
     b! / prod_j (b - b_j) over the lower beta-numbers b_j.  A branch is
     dropped once no diagram above it can have a top row as long as its
-    first column."""
+    first column.
+
+    With `rest` cells left for the top rows, every diagram of a branch has
+    a first row of at most rest cells, so its dimension is at least the
+    row-peel bound P(n, rest).  Given an integer cut, the walk drops every
+    branch with P(n, rest) > cut; P only grows as rest shrinks."""
+    least = 1  # every diagram has a first row
+    if cut is not None:
+        # the least rest with P(n, rest) <= cut, or n + 1 if there is none
+        least = bisect_left(_peel_minima(n), True, key=lambda bound: bound is not None and bound <= cut)
     # beta-numbers stay below 2n, since len(mu) <= mu_1 <= n
     factorials = list(accumulate(range(1, 2 * n + 1), mul, initial=1))
-    # (rows chosen, top first; their beta-numbers, bottom first; least next
-    # row; cells left, more than the rows chosen; their hook product)
-    stack = [((), (), 1, n, 1)] if n else []  # () has no first row
-    while stack:
-        below, betas, low, rest, hooks = stack.pop()
+    rows: list[int] = []  # the rows chosen, bottom first
+    betas: list[int] = []  # their beta-numbers
+
+    def walk(low: int, rest: int, hooks: int) -> None:
+        # low: the least next row; rest: cells left, more than the rows
+        # chosen; hooks: the hook product of the rows chosen
         k = len(betas)
         # all of rest as the top row: mu_1 = rest >= len(mu) = k + 1
         beta = rest + k
         gaps = 1
         for b in betas:
             gaps *= beta - b
-        yield (rest, *below), hooks * (factorials[beta] // gaps)
-        # another row at depth k must leave at least itself for the rows
-        # above, and more than k + 1 cells, since the top row is at least as
-        # long as the k + 2 or more rows of the diagram
-        for row in range(low, min(rest // 2, rest - k - 2) + 1):
+        visit(hooks * (factorials[beta] // gaps), rest, rows)
+        # another row at depth k must leave at least itself and `least` for
+        # the rows above, and more than k + 1 cells, since the top row is at
+        # least as long as the k + 2 or more rows of the diagram
+        for row in range(low, min(rest // 2, rest - k - 2, rest - least) + 1):
             beta = row + k
             gaps = 1
             for b in betas:
                 gaps *= beta - b
-            stack.append(((row, *below), (*betas, beta), row, rest - row,
-                          hooks * (factorials[beta] // gaps)))
+            rows.append(row)
+            betas.append(beta)
+            walk(row, rest - row, hooks * (factorials[beta] // gaps))
+            rows.pop()
+            betas.pop()
+
+    if n >= least:
+        walk(1, n, 1)
+
+
+@lru_cache(maxsize=None)
+def _peel_minima(m: int) -> tuple[Fraction | None, ...]:
+    """P(m, D) for D = 0..m, the least row-peel bound L(m, d) over d <= D,
+    or None while no d qualifies.  L(m, d) bounds hook_dim(mu) below for
+    every mu of m with mu_1 = d >= len(mu), so d^2 >= m:
+
+        L(0, 0) = 1,   L(m, d) = binom(m, d) (d/m)^d P(m - d, min(d, m - d)).
+
+    Peeling the first row off mu costs at most the appendix factor
+    binom(m, d) (d/m)^d, and leaves a partition of m - d whose first row
+    and first column are both at most min(d, m - d); it has the dimension
+    of its conjugate, and the longer of the two is the first row of
+    whichever of them has mu_1 >= len(mu)."""
+    if m == 0:
+        return (Fraction(1),)
+    minima: list[Fraction | None] = []
+    least = None
+    for d in range(m + 1):
+        if d * d >= m:
+            bound = comb(m, d) * Fraction(d, m) ** d * _peel_minima(m - d)[min(d, m - d)]
+            if least is None or bound < least:
+                least = bound
+        minima.append(least)
+    return tuple(minima)
 
 
 @dataclass(frozen=True)
@@ -111,6 +160,8 @@ class BoundSweepReport:
     partition_count: int
     min_slack: Fraction
     argmin: Partition
+    least_ratio: Fraction | None  # least dim/bound over d < n, None if n <= 2
+    least_ratio_at: Partition | None
 
     @property
     def passed(self) -> bool:
@@ -120,10 +171,11 @@ class BoundSweepReport:
 def bound_sweep(n: int) -> BoundSweepReport:
     """Check hook_dim(mu) >= dimension_lower_bound(n, mu) for every mu of n,
     reporting the minimum slack (dimension minus bound) and the first mu,
-    in descending lexicographic order, that attains it.
+    in descending lexicographic order, that attains it, and likewise the
+    least ratio of dimension to bound over d < n.
 
     The bound depends on mu only through d, so per d only the first mu of
-    least dimension can attain the minimum slack.  That mu has mu_1 >= len(mu):
+    least dimension can attain either minimum.  That mu has mu_1 >= len(mu):
     its conjugate has the same d and dimension, and of two conjugates the one
     with the longer first row comes first.  So the sweep walks only
     mu_1 >= len(mu), counting each mu twice unless mu_1 = len(mu), since its
@@ -133,23 +185,41 @@ def bound_sweep(n: int) -> BoundSweepReport:
     H divides n! exactly.
 
     (n) has dimension 1 and bound binom(n, n) = 1, and comes first in that
-    order, so a passing sweep always reports slack 0 at (n): what it shows
-    is that no d-class goes below its bound."""
+    order, so a passing sweep always reports slack 0 at (n); the least ratio
+    leaves d = n out, and shows how close the other classes come."""
     check_size_cap("n", n, LEAST_N)
-    widest: dict[int, tuple[int, Partition]] = {}  # d -> (hook product, mu)
+    best = [0] * (n + 1)  # per d, the largest hook product
+    winners: list[Partition] = [()] * (n + 1)  # per d, the first mu with it
     count = 0
-    for mu, hooks in _wide_hook_products(n):
-        d = mu[0]
-        count += 1 if d == len(mu) else 2
-        best = widest.get(d)
-        if best is None or (hooks, mu) > best:
-            widest[d] = (hooks, mu)
+
+    def visit(hooks: int, top: int, rows: list[int]) -> None:
+        nonlocal count
+        count += 1 if top == len(rows) + 1 else 2
+        if hooks >= best[top]:
+            mu = (top, *reversed(rows))
+            if hooks > best[top] or mu > winners[top]:
+                best[top] = hooks
+                winners[top] = mu
+
+    _wide_hook_products(n, visit)
     # descending d is descending lexicographic order, and min keeps the first
     total = factorial(n)
-    min_slack, argmin = min(((total // hooks - dimension_lower_bound(n, mu), mu)
-                             for _, (hooks, mu) in sorted(widest.items(), reverse=True)),
-                            key=itemgetter(0))
-    return BoundSweepReport(n, count, min_slack, argmin)
+    classes = [d for d in range(n, 0, -1) if best[d]]
+    min_slack, argmin = min(((total // best[d] - dimension_lower_bound(n, winners[d]), winners[d])
+                             for d in classes), key=itemgetter(0))
+
+    def scale(d: int) -> int:
+        # dim/bound = n! n^d / scale(d) for the winner of class d
+        return best[d] * comb(n, d) * d ** d
+
+    least = None  # the class d < n of least ratio, the first on a tie
+    for d in classes[1:]:
+        if least is None or scale(d) * n ** least > scale(least) * n ** d:
+            least = d
+    if least is None:
+        return BoundSweepReport(n, count, min_slack, argmin, None, None)
+    return BoundSweepReport(n, count, min_slack, argmin,
+                            Fraction(total * n ** least, scale(least)), winners[least])
 
 
 def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
@@ -164,7 +234,9 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     are tested, and a hit with mu_1 > len(mu) brings its conjugate along.
     hook_dim(mu) = n! / H(mu) for the hook product H(mu) of the walk, so the
     budget is tested as n! <= threshold * H(mu), in integers, and hook_dim
-    is never called.  n and k are held to the size rule before n^k is formed.
+    is never called.  The walk is cut at the threshold: a branch whose
+    row-peel bound exceeds it holds no hit.  n and k are held to the size
+    rule before n^k is formed or the peel table is built.
     """
     check_size_cap("n", n, LEAST_N)
     check_size_cap("k", k)
@@ -172,11 +244,15 @@ def lemma_scan(c: Fraction, k: int, n: int) -> list[Partition]:
     threshold = floor(Fraction(*ratio(c)) * Fraction(n) ** k)
     total = factorial(n)
     found = []
-    for mu, hooks in _wide_hook_products(n):
-        if mu[0] < n - k and total <= threshold * hooks:
+
+    def visit(hooks: int, top: int, rows: list[int]) -> None:
+        if top < n - k and total <= threshold * hooks:
+            mu = (top, *reversed(rows))
             found.append(mu)
-            if mu[0] > len(mu):
+            if top > len(mu):
                 found.append(conjugate(mu))
+
+    _wide_hook_products(n, visit, threshold)
     return sorted(found, reverse=True)
 
 
@@ -185,8 +261,9 @@ def find_threshold(c: Fraction, k: int, n_max: int) -> tuple[int | None, list[Pa
     N <= n <= n_max, or None if even n_max has violations, together with
     lemma_scan(c, k, N - 1): the last counterexamples, empty when N is LEAST_N
     or None.  c, then n_max (by check_size_cap), are checked before any scan,
-    and each n is one walk of _wide_hook_products, which calls hook_dim for
-    no partition and caches none."""
+    and each n is one walk of _wide_hook_products, cut at the budget, which
+    calls hook_dim for no partition and caches none; the peel table it cuts
+    by is cached per n, and shared by every budget."""
     c = Fraction(*ratio(c))
     check_size_cap("n_max", n_max, LEAST_N)
     threshold = None

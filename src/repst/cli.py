@@ -67,9 +67,12 @@ def poly_to_json(p) -> dict:
 
 def bound_sweep_to_json(report) -> dict:
     """A bounds.BoundSweepReport as `repst bounds --json` writes it."""
+    least = report.least_ratio
     return {"check": "bound-sweep", "n": report.n, "partitions": report.partition_count,
             "pass": report.passed, "minSlack": rational_to_json(report.min_slack),
-            "argmin": format_partition(report.argmin)}
+            "argmin": format_partition(report.argmin),
+            "leastRatio": None if least is None else rational_to_json(least),
+            "leastRatioAt": None if least is None else format_partition(report.least_ratio_at)}
 
 
 def _where(where: dict) -> dict:
@@ -191,10 +194,12 @@ def cmd_stirling(args) -> Output:
 def cmd_bounds(args) -> Output:
     from . import bounds
     report = bounds.bound_sweep(args.max_n)
+    least = ("" if report.least_ratio is None else
+             f"least ratio {report.least_ratio} at [{format_partition(report.least_ratio_at)}], ")
     return (bound_sweep_to_json(report),
             [f"n = {report.n}: {report.partition_count} partitions, "
              f"min slack {report.min_slack} at [{format_partition(report.argmin)}], "
-             f"{'pass' if report.passed else 'FAIL'}"])
+             f"{least}{'pass' if report.passed else 'FAIL'}"])
 
 
 def cmd_thresholds(args) -> Output:

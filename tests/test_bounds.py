@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian_product
@@ -25,23 +26,69 @@ def test_bound_never_exceeds_dimension(mu):
 
 def test_bound_sweep_matches_per_partition_reference_through_24():
     for n in range(1, 25):
-        slacks = []
+        slacks, ratios = [], []
         for mu in pt.partitions_of(n):
             d = max(mu[0], len(mu))
-            slacks.append((sn.hook_dim(mu) - comb(n, d) * Fraction(d, n) ** d, mu))
+            bound = comb(n, d) * Fraction(d, n) ** d
+            slacks.append((sn.hook_dim(mu) - bound, mu))
+            if d < n:
+                ratios.append((sn.hook_dim(mu) / bound, mu))
+        # partitions_of is in descending lexicographic order, and min keeps the first
         min_slack, argmin = min(slacks, key=lambda pair: pair[0])
+        least_ratio, least_ratio_at = min(ratios, key=lambda pair: pair[0]) if ratios else (None, None)
         report = bd.bound_sweep(n)
         assert (report.partition_count, report.passed, report.min_slack, report.argmin) == (
             len(slacks), all(s >= 0 for s, _ in slacks), min_slack, argmin)
+        assert (report.least_ratio, report.least_ratio_at) == (least_ratio, least_ratio_at), n
+        assert (least_ratio is None) == (n <= 2)
+    # dimension 5 against bound binom(6, 3) / 8: (3, 3) comes before its conjugate
+    report = bd.bound_sweep(6)
+    assert (report.least_ratio, report.least_ratio_at) == (2, (3, 3))
+
+
+def _walk(n, cut=None):
+    """Every (mu, hook product) the walk visits, as a list."""
+    visits = []
+    bd._wide_hook_products(n, lambda hooks, top, rows: visits.append(((top, *reversed(rows)), hooks)), cut)
+    return visits
 
 
 def test_the_walk_visits_each_wide_partition_once_with_its_hook_product():
     for n in range(23):
         visits = Counter()
-        for mu, hooks in bd._wide_hook_products(n):
+        for mu, hooks in _walk(n):
             visits[mu] += 1
             assert hooks * sn.hook_dim(mu) == factorial(n), mu
         assert visits == Counter(mu for mu in pt.partitions_of(n) if mu and mu[0] >= len(mu)), n
+
+
+def test_the_peel_table_bounds_every_dimension_through_24():
+    # P(n, D) <= hook_dim(mu) for every mu of n with len(mu) <= mu_1 <= D:
+    # the invariant the cut rests on
+    for n in range(25):
+        minima = bd._peel_minima(n)
+        assert len(minima) == n + 1
+        for mu in pt.partitions_of(n):
+            if not mu or mu[0] >= len(mu):
+                top = mu[0] if mu else 0
+                dim = sn.hook_dim(mu)
+                for bound in minima[top:]:
+                    assert bound is not None and bound <= dim, (mu, bound)
+        # no mu of n >= 1 has mu_1 >= len(mu) with mu_1^2 < n
+        assert all((bound is None) == (D * D < n) for D, bound in enumerate(minima)), n
+
+
+def test_the_cut_walk_keeps_every_partition_within_the_cut_through_24():
+    for n in range(1, 25):
+        full = _walk(n)
+        dims = sorted({factorial(n) // hooks for _, hooks in full})
+        for cut in {0, *dims[:3], dims[len(dims) // 2], dims[-1]}:
+            kept = _walk(n, cut)
+            assert set(kept) <= set(full)
+            assert ({mu for mu, hooks in kept if factorial(n) <= cut * hooks}
+                    == {mu for mu, hooks in full if factorial(n) <= cut * hooks}), (n, cut)
+        # the cut prunes: at the one-dimensional budget the walk visits (n) alone
+        assert _walk(n, 1) == [((n,), factorial(n))]
 
 
 def _partition_counts(n_max):
@@ -165,6 +212,9 @@ def test_bound_sweep_json():
     assert data["partitions"] == 5
     num, den = data["minSlack"]
     assert Fraction(int(num), int(den)) >= 0
+    assert (data["leastRatio"], data["leastRatioAt"]) == (["4", "3"], "2,2")
+    data = cli.bound_sweep_to_json(bd.bound_sweep(2))
+    assert (data["leastRatio"], data["leastRatioAt"]) == (None, None)
 
 
 def test_lemma_scan_trivial_cases():
@@ -250,6 +300,16 @@ def test_find_threshold():
         assert bd.lemma_scan(Fraction(1), 1, n) == []
     assert last == bd.lemma_scan(Fraction(1), 1, threshold - 1) != []
     assert (threshold, last) == (7, [(3, 3), (2, 2, 2)])
+
+
+def test_find_threshold_resolves_every_default_budget_to_70_within_a_time_budget(monkeypatch):
+    monkeypatch.setenv("REPST_LIMITS", "70")
+    bd._peel_minima.cache_clear()
+    start = time.perf_counter()
+    thresholds = [bd.find_threshold(c, k, 70)[0] for c, k in SCAN_BUDGETS]
+    elapsed = time.perf_counter() - start
+    assert thresholds == [1, 7, 13, 34, 5, 9, 18, 58, 12, 24, 66, None]
+    assert elapsed < 2, elapsed
 
 
 def test_find_threshold_none_when_last_point_fails():
